@@ -3,9 +3,10 @@
 Every subcommand reads one config file, writes into a fresh output
 directory (existing files are never overwritten), and produces three
 artifacts: ``<command>.csv``, ``resolved_config.txt`` and ``manifest.txt``.
-CSV bodies are deterministic for a fixed config and seed; the manifest
-additionally records wall time, which is excluded from the determinism
-contract.
+CSV bodies are deterministic for a fixed config and seed on one machine,
+numpy/scipy build and BLAS thread count; the manifest additionally records
+the BLAS thread variables and wall time, which is excluded from the
+determinism contract.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence,
 4 infeasible sampling.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,8 +31,9 @@ from .config import (RunConfig, check_lengths_for_meanfield,
                      FORMAT_VERSION)
 from .constants import dicke_density
 from .errors import (BracketingError, ConfigError, DepolgasError,
-                     InfeasiblePackingError, NoCriticalDensityError,
-                     QuadratureConvergenceError, ScaleSeparationError)
+                     EigensolverConvergenceError, InfeasiblePackingError,
+                     NoCriticalDensityError, QuadratureConvergenceError,
+                     ScaleSeparationError)
 from .kernels import gamma_peak, gamma_r, kernel_k, kernel_u
 from .meanfield import (DispersionInput, branch_frequencies,
                         critical_ratio_bisection, critical_ratio_from_overlap,
@@ -41,6 +44,10 @@ _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_NUMERICAL = 3
 _EXIT_SAMPLING = 4
+
+# the thread counts BLAS reads at start-up; the eigenvalue columns depend on
+# them in the last digits, so the manifest records them
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fmt(value, precision: int) -> str:
@@ -62,12 +69,9 @@ class _RowErrors:
         self.exit_code = _EXIT_OK
 
     def classify(self, exc: Exception) -> str:
-        if isinstance(exc, InfeasiblePackingError):
-            self.exit_code = max(self.exit_code, _EXIT_SAMPLING)
-        elif isinstance(exc, (QuadratureConvergenceError, BracketingError)):
-            self.exit_code = max(self.exit_code, _EXIT_NUMERICAL)
-        else:
-            self.exit_code = max(self.exit_code, _EXIT_NUMERICAL)
+        code = (_EXIT_SAMPLING if isinstance(exc, InfeasiblePackingError)
+                else _EXIT_NUMERICAL)
+        self.exit_code = max(self.exit_code, code)
         return str(exc)
 
 
@@ -91,6 +95,8 @@ def _write_outputs(out_dir: Path, command: str, header: list[str],
     body = "\n".join(body_lines) + "\n"
 
     config_text = "\n".join(resolved_lines(cfg)) + "\n"
+    blas_threads = ",".join(f"{var}={os.environ.get(var, 'unset')}"
+                            for var in _BLAS_VARS)
     try:
         with open(out_dir / f"{command}.csv", "x", encoding="utf-8", newline="\n") as fh:
             fh.write(body)
@@ -102,6 +108,7 @@ def _write_outputs(out_dir: Path, command: str, header: list[str],
                     f"numpy_version = {np.__version__}",
                     f"scipy_version = {scipy.__version__}",
                     f"python_version = {sys.version.split()[0]}",
+                    f"blas_threads = {blas_threads}",
                     f"seed = {seed if seed is not None else ''}"]
         manifest += [f"config.{line}" for line in resolved_lines(cfg)]
         manifest += [f"csv_sha256 = {hashlib.sha256(body.encode()).hexdigest()}",
@@ -284,7 +291,8 @@ def main(argv=None) -> int:
     except InfeasiblePackingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_SAMPLING
-    except (QuadratureConvergenceError, BracketingError) as exc:
+    except (QuadratureConvergenceError, BracketingError,
+            EigensolverConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     return errors.exit_code

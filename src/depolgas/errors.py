@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Each maps onto one CLI exit code: ConfigError -> 2, numerical
-non-convergence (QuadratureConvergenceError, BracketingError) -> 3,
-InfeasiblePackingError -> 4.
+non-convergence (QuadratureConvergenceError, BracketingError,
+EigensolverConvergenceError) -> 3, InfeasiblePackingError -> 4.
 """
 
 
@@ -28,6 +28,10 @@ class QuadratureConvergenceError(DepolgasError):
 
 class BracketingError(DepolgasError):
     """Root bracketing or bisection failed to converge."""
+
+
+class EigensolverConvergenceError(DepolgasError):
+    """The iterative eigensolver did not converge."""
 
 
 class NoCriticalDensityError(DepolgasError):

@@ -21,9 +21,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .constants import CODATA, AtomSpecies, PhysicalConstants, dicke_density
-from .errors import ConfigError, InfeasiblePackingError, ScaleSeparationError
+from .errors import (ConfigError, EigensolverConvergenceError,
+                     InfeasiblePackingError, ScaleSeparationError)
 from .kernels import CutoffProfile, contact_scalars
 
 MAX_PACKING = 0.3          # RSA stays well clear of its jamming fraction
@@ -278,9 +281,40 @@ def assemble_dynamical_matrix(config: Configuration, basis: ModeBasis,
     return matrix
 
 
-def minimal_eigenvalue(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of the (symmetric) dynamical matrix."""
-    return float(np.linalg.eigvalsh(matrix)[0])
+def minimal_eigenvalue(matrix: np.ndarray, n_modes: int) -> float:
+    """Smallest eigenvalue of a dynamical matrix ending in ``n_modes`` mode rows.
+
+    The mode block is the diagonal d = Omega^2, some 1e11 times the atom
+    scale omega^2, so a dense solve of the whole matrix resolves the small
+    eigenvalues only to eps * Omega^2.  Eliminating the modes exactly leaves
+    the atom-scale Schur complement S = A - B d^-1 B^T, whose lowest
+    eigenpair (lambda_S, v) Lanczos finds to eps * ||S||.  The eigenvalues of
+    the full matrix below min(d) solve lambda = lambda_min(A - B (d -
+    lambda)^-1 B^T); one first-order step of that secular equation from
+    lambda_S, with x = B^T v, gives lambda to rounding, because the step is
+    of relative size omega^2 / Omega^2.  Raises EigensolverConvergenceError
+    when Lanczos does not converge.
+    """
+    n3 = matrix.shape[0] - n_modes
+    a = matrix[:n3, :n3]
+    b = matrix[:n3, n3:]
+    d = np.diag(matrix[n3:, n3:])
+    schur = a - (b / d) @ b.T
+    # Lanczos time is all matvecs: a symmetric one reads half of the matrix,
+    # and schur.T is the Fortran-ordered view BLAS takes without a copy
+    op = LinearOperator(schur.shape, dtype=schur.dtype,
+                        matvec=lambda x: blas.dsymv(1.0, schur.T, x))
+    # a fixed start vector keeps the solve, and so the CSV, deterministic
+    v0 = np.random.default_rng(0).standard_normal(n3)
+    try:
+        vals, vecs = eigsh(op, k=1, which="SA", tol=0, v0=v0)
+    except ArpackNoConvergence as exc:
+        raise EigensolverConvergenceError(
+            f"Lanczos found no minimal eigenvalue of the {n3}-dimensional "
+            f"Schur complement: {exc}") from exc
+    lam = float(vals[0])
+    x = b.T @ vecs[:, 0]
+    return lam - float(np.sum(x * x * lam / (d * (d - lam))))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +383,7 @@ def _replica_eigs(density: float, geometry: ScanGeometry, basis: ModeBasis,
                                    seed=seed_block + (j,), mc_sweeps=mc_sweeps)
         mat = assemble_dynamical_matrix(cfg, basis, species, profile, constants,
                                         include_contact=include_contact)
-        eigs[j] = minimal_eigenvalue(mat)
+        eigs[j] = minimal_eigenvalue(mat, basis.n_modes)
     return eigs
 
 

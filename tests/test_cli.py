@@ -2,10 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import depolgas
 from conftest import ELL, ND_PER_ELL3, synthetic_species
+from depolgas import microsim
 from depolgas.cli import main
 
 _BISECTION_COLUMN = "bisection_n_c_over_nD"
@@ -40,7 +47,10 @@ def _read_rows(out_dir, command: str):
     return rows, footer
 
 
-def test_kernel_check_runs_and_manifests_are_consistent(tmp_path):
+def test_kernel_check_runs_and_manifests_are_consistent(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
     cfg = _write_config(tmp_path, _base_config(
         **{"kernel_check.r_over_ell": "0.0,1.0,2.0"}))
     out = tmp_path / "out"
@@ -56,6 +66,8 @@ def test_kernel_check_runs_and_manifests_are_consistent(tmp_path):
     manifest = (out / "manifest.txt").read_text()
     assert f"csv_sha256 = {hashlib.sha256(body).hexdigest()}" in manifest
     assert "wall_time_s" in manifest
+    assert ("blas_threads = OMP_NUM_THREADS=1,OPENBLAS_NUM_THREADS=unset,"
+            "MKL_NUM_THREADS=2") in manifest.splitlines()
     assert (out / "resolved_config.txt").exists()
 
 
@@ -172,6 +184,45 @@ def test_microsim_csv_is_deterministic_and_seed_sensitive(tmp_path):
     m1 = (outs[1] / "manifest.txt").read_text().splitlines()
     diff = [a for a, b in zip(m0, m1) if a != b]
     assert all(line.startswith("wall_time_s") for line in diff)
+
+
+def test_microsim_eigenvalues_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # BLAS reads its thread count at start-up, so each run is its own process;
+    # a dense solve of the whole matrix moved min_eig_mean here by 1.5e-4
+    cfg = _write_config(tmp_path, _base_config(
+        **{"microsim.box_over_ell": "8.0",
+           "microsim.lambda_min_over_ell": "6.0",
+           "microsim.density_ratios": "1.0",
+           "microsim.replicas": "1"}))
+    src = str(Path(depolgas.__file__).resolve().parents[1])
+    means = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "depolgas.cli", "microsim",
+                        "--config", cfg, "--out", str(out)],
+                       env=env, check=True, timeout=120)
+        (row,) = _read_rows(out, "microsim")[0]
+        means.append(float(row["min_eig_mean"]))
+    assert means[1] == pytest.approx(means[0], rel=1e-10)
+
+
+def test_eigensolver_failure_exits_with_numerical_error(tmp_path, monkeypatch,
+                                                        capsys):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(microsim, "eigsh", no_convergence)
+    cfg = _write_config(tmp_path, _base_config(
+        **{"microsim.box_over_ell": "8.0",
+           "microsim.lambda_min_over_ell": "8.0",
+           "microsim.density_ratios": "0.3",
+           "microsim.replicas": "1"}))
+    assert main(["microsim", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "Lanczos found no minimal eigenvalue" in capsys.readouterr().err
 
 
 def test_output_directory_is_create_only(tmp_path, capsys):

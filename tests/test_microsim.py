@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, linalg
 from scipy.special import erf, spherical_jn
 
 from conftest import ELL, EPS0, HBAR, ND_PER_ELL3, OMEGA_SYNTH, synthetic_species
@@ -260,8 +260,8 @@ def test_dynamical_matrix_without_contact_is_block_diagonal_plus_coupling():
 def test_dynamical_matrix_decouples_at_vanishing_dipole():
     # a feeble dipole leaves omega^2 I in the atom block (pair terms scale as
     # dipole^2) and the cross block scales exactly linearly with the dipole;
-    # eigenvalues are not compared here because a graded eigensolve only
-    # resolves them to eps * ||matrix||
+    # eliminating the Omega^2 mode block resolves the minimal eigenvalue on
+    # the atom scale, where it is omega^2
     density = 0.5 * ND_PER_ELL3 / ELL**3
     cfg = sample_configuration(density, 8.0 * ELL, 1.15 * ELL, seed=4)
     basis = build_mode_basis(8.0 * ELL, 6.0 * ELL)
@@ -274,6 +274,38 @@ def test_dynamical_matrix_decouples_at_vanishing_dipole():
     halved = dataclasses.replace(feeble, dipole=0.5e-45)
     mat_half = assemble_dynamical_matrix(cfg, basis, halved, _PROFILE)
     assert np.array_equal(mat_half[:n3, n3:], 0.5 * mat[:n3, n3:])
+    assert minimal_eigenvalue(mat, basis.n_modes) == pytest.approx(
+        feeble.omega**2, rel=1e-12)
+
+
+def _secular_fixed_point(mat: np.ndarray, n_modes: int, steps: int = 4) -> float:
+    """Dense reference: iterate lambda = lambda_min(A - B (D - lambda)^-1 B^T).
+
+    Each step moves lambda by a relative omega^2 / Omega^2 of the previous
+    move, so four steps from lambda = 0 reach the fixed point to rounding.
+    """
+    n3 = mat.shape[0] - n_modes
+    a, b = mat[:n3, :n3], mat[:n3, n3:]
+    d = np.diag(mat[n3:, n3:])
+    lam = 0.0
+    for _ in range(steps):
+        lam = float(linalg.eigh(a - (b / (d - lam)) @ b.T, eigvals_only=True,
+                                subset_by_index=[0, 0])[0])
+    return lam
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 1.75])
+def test_minimal_eigenvalue_matches_the_secular_fixed_point(rho):
+    # a dense solve of the whole matrix is off by eps * Omega^2, 1e-7 to 1e-4
+    # of the answer; the mode elimination must hold it to rounding
+    species = synthetic_species()
+    basis = build_mode_basis(8.0 * ELL, 6.0 * ELL)
+    cfg = sample_configuration(rho * ND_PER_ELL3 / ELL**3, 8.0 * ELL,
+                               species.core_diameter, seed=(17, 0))
+    mat = assemble_dynamical_matrix(cfg, basis, species, _PROFILE)
+    reference = _secular_fixed_point(mat, basis.n_modes)
+    assert minimal_eigenvalue(mat, basis.n_modes) == pytest.approx(reference,
+                                                                   rel=1e-12)
 
 
 def test_dynamical_matrix_dimension_guard():
@@ -302,7 +334,7 @@ def test_single_atom_matches_two_level_mean_field():
                         positions=x0[None, :])
 
     mat = assemble_dynamical_matrix(cfg, single, species, _PROFILE)
-    measured = minimal_eigenvalue(mat)
+    measured = minimal_eigenvalue(mat, single.n_modes)
 
     c0 = math.cos(float(x0 @ kvec))
     rho_eff = (2.0 * c0 * c0 / box**3) / dicke_density(species)
@@ -331,7 +363,7 @@ def test_dilute_lattice_matches_mean_field_density():
     cfg = Configuration(box_length=box, core_diameter=species.core_diameter,
                         positions=positions)
     mat = assemble_dynamical_matrix(cfg, basis, species, profile)
-    measured = minimal_eigenvalue(mat)
+    measured = minimal_eigenvalue(mat, basis.n_modes)
 
     pair = branch_frequencies(DispersionInput(
         omega=species.omega, Omega=float(basis.Omega[0]), density_ratio=0.5))
@@ -360,7 +392,7 @@ def _measured_shell_threshold(m_norm2: int, grid: np.ndarray, seed: int) -> floa
             cfg = sample_configuration(rho * n_dicke, box, species.core_diameter,
                                        seed=(seed, i, j))
             mat = assemble_dynamical_matrix(cfg, basis, species, _PROFILE)
-            eigs.append(minimal_eigenvalue(mat))
+            eigs.append(minimal_eigenvalue(mat, basis.n_modes))
         means.append(np.mean(eigs))
     means = np.asarray(means)
     sign_change = np.flatnonzero((means[:-1] > 0.0) & (means[1:] <= 0.0))
