@@ -8,8 +8,7 @@ against a finite-size microscopic eigenvalue simulation.
 
 __version__ = "0.1.0"
 
-from .constants import (AtomSpecies, PhysicalConstants, CODATA, dicke_density,
-                        hydrogen_dicke_density, mean_interatomic_distance)
+from .constants import AtomSpecies, PhysicalConstants, CODATA, dicke_density
 from .kernels import (CutoffProfile, GAUSSIAN, LORENTZIAN, gamma_k, gamma_r,
                       kernel_k, kernel_u, radial_scalars)
 from .meanfield import (BranchPair, DispersionInput, RadialDistribution,
@@ -19,13 +18,12 @@ from .meanfield import (BranchPair, DispersionInput, RadialDistribution,
                         dispersion, overlap_integral, shift_slope)
 from .microsim import (Configuration, ModeBasis, ScanGeometry, StabilityReport,
                        assemble_dynamical_matrix, build_mode_basis,
-                       minimal_eigenvalue, pair_correlation,
-                       sample_configuration, stability_scan)
+                       minimal_eigenvalue, sample_configuration,
+                       stability_scan)
 
 __all__ = [
     "__version__",
     "AtomSpecies", "PhysicalConstants", "CODATA", "dicke_density",
-    "hydrogen_dicke_density", "mean_interatomic_distance",
     "CutoffProfile", "GAUSSIAN", "LORENTZIAN", "gamma_k", "gamma_r",
     "kernel_k", "kernel_u", "radial_scalars",
     "BranchPair", "DispersionInput", "RadialDistribution",
@@ -34,5 +32,5 @@ __all__ = [
     "depolarization_shift", "dispersion", "overlap_integral", "shift_slope",
     "Configuration", "ModeBasis", "ScanGeometry", "StabilityReport",
     "assemble_dynamical_matrix", "build_mode_basis", "minimal_eigenvalue",
-    "pair_correlation", "sample_configuration", "stability_scan",
+    "sample_configuration", "stability_scan",
 ]

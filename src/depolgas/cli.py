@@ -26,14 +26,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import (RunConfig, check_lengths_for_meanfield,
-                     check_lengths_for_microsim, load_config, resolved_lines,
-                     FORMAT_VERSION)
+from .config import (RunConfig, check_lengths_for_meanfield, load_config,
+                     resolved_lines, FORMAT_VERSION)
 from .constants import dicke_density
 from .errors import (BracketingError, ConfigError, DepolgasError,
                      EigensolverConvergenceError, InfeasiblePackingError,
-                     NoCriticalDensityError, QuadratureConvergenceError,
-                     ScaleSeparationError)
+                     NoCriticalDensityError, QuadratureConvergenceError)
 from .kernels import gamma_peak, gamma_r, kernel_k, kernel_u
 from .meanfield import (DispersionInput, branch_frequencies,
                         critical_ratio_bisection, critical_ratio_from_overlap,
@@ -211,7 +209,6 @@ def _cmd_critical(cfg: RunConfig, args, errors: _RowErrors):
 
 
 def _cmd_microsim(cfg: RunConfig, args, errors: _RowErrors):
-    check_lengths_for_microsim(cfg)
     species = cfg.species()
     profile = cfg.profile()
     n_dicke = dicke_density(species)
@@ -224,7 +221,6 @@ def _cmd_microsim(cfg: RunConfig, args, errors: _RowErrors):
         [r * n_dicke for r in ratios], species, profile, geometry,
         replicas=cfg.values["microsim.replicas"], master_seed=seed,
         bisect_steps=cfg.values["microsim.bisect_steps"],
-        mc_sweeps=cfg.values["microsim.mc_sweeps"],
         include_contact=cfg.values["microsim.include_contact"],
         min_ell_over_core=cfg.values["validation.min_ell_over_core"],
         min_lambda_over_ell=cfg.values["validation.min_lambda_over_ell"])
@@ -280,12 +276,14 @@ def main(argv=None) -> int:
     started = time.monotonic()
     errors = _RowErrors()
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed cannot be negative, got {args.seed}")
         cfg = load_config(args.config)
         header, rows, footer = _COMMANDS[args.command](cfg, args, errors)
         _write_outputs(Path(args.out), args.command, header, rows, footer,
                        cfg, args.seed if args.seed is not None
                        else cfg.values["microsim.seed"], started)
-    except (ConfigError, ScaleSeparationError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except InfeasiblePackingError as exc:

@@ -3,8 +3,9 @@
 Values come from the config file, may be overridden by environment
 variables (``DEPOLGAS_`` + the dotted key uppercased with dots replaced by
 underscores), and are validated against a fixed schema; unknown keys are
-hard errors.  Length-scale ordering (core << ell << lambda_min) is checked
-with configurable factors before any run.
+hard errors.  The mean-field commands check core << ell here with a
+configurable factor; the simulation checks core << ell << lambda_min in
+``microsim.check_scan_separation`` with the same factors.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ _SCHEMA: dict[str, tuple[str, str | None]] = {
     "microsim.replicas": ("int", "10"),
     "microsim.seed": ("int", "0"),
     "microsim.bisect_steps": ("int", "8"),
-    "microsim.mc_sweeps": ("int", "0"),
     "microsim.include_contact": ("bool", "true"),
     "validation.min_ell_over_core": ("float", "4.0"),
     "validation.min_lambda_over_ell": ("float", "4.0"),
@@ -85,10 +85,17 @@ def env_name(key: str) -> str:
     return _ENV_PREFIX + key.upper().replace(".", "_")
 
 
+def _finite(key: str, raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key}: {raw!r} is not a finite number")
+    return value
+
+
 def _coerce(key: str, kind: str, raw: str):
     try:
         if kind == "float":
-            return float(raw)
+            return _finite(key, raw)
         if kind == "int":
             return int(raw)
         if kind == "bool":
@@ -98,7 +105,7 @@ def _coerce(key: str, kind: str, raw: str):
                 return False
             raise ValueError(raw)
         if kind == "floatlist":
-            return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+            return [_finite(key, tok) for tok in raw.split(",") if tok.strip() != ""]
         return raw
     except ValueError:
         raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind}") from None
@@ -210,13 +217,13 @@ def _validate(cfg: RunConfig) -> None:
     if v["output.precision"] < 1 or v["output.precision"] > 17:
         raise ConfigError("output.precision must lie in 1..17")
     for key in ("microsim.box_over_ell", "microsim.lambda_min_over_ell"):
-        if not (math.isfinite(v[key]) and v[key] > 0.0):
-            raise ConfigError(f"config key {key} must be a positive finite number")
+        if not v[key] > 0.0:
+            raise ConfigError(f"config key {key} must be positive")
     for key in ("microsim.replicas", "microsim.bisect_steps"):
         if v[key] < 1:
             raise ConfigError(f"config key {key} must be at least 1")
-    if v["microsim.mc_sweeps"] < 0:
-        raise ConfigError("microsim.mc_sweeps cannot be negative")
+    if v["microsim.seed"] < 0:
+        raise ConfigError("microsim.seed cannot be negative")
     ratios = v["meanfield.density_ratios"]
     if any(r < 0.0 for r in ratios):
         raise ConfigError("meanfield.density_ratios must be non-negative")
@@ -238,27 +245,6 @@ def check_lengths_for_meanfield(cfg: RunConfig) -> None:
             f"scale separation violated: require ell >= {factor:g} * sigma "
             f"(core << ell), got ell = {ell:g} m, sigma = {sigma:g} m; "
             "lower validation.min_ell_over_core to override"
-        )
-
-
-def check_lengths_for_microsim(cfg: RunConfig) -> None:
-    """core << ell << lambda_min gate for the simulation command."""
-    ell = cfg.values["cutoff.ell_m"]
-    sigma = cfg.values["species.core_diameter_m"]
-    f1 = cfg.values["validation.min_ell_over_core"]
-    f2 = cfg.values["validation.min_lambda_over_ell"]
-    if sigma > 0.0 and ell < f1 * sigma:
-        raise ScaleSeparationError(
-            f"scale separation violated: require ell >= {f1:g} * core_diameter "
-            f"(core << ell), got ell = {ell:g} m, core_diameter = {sigma:g} m; "
-            "lower validation.min_ell_over_core to override"
-        )
-    lam = cfg.values["microsim.lambda_min_over_ell"] * ell
-    if lam < f2 * ell:
-        raise ScaleSeparationError(
-            f"scale separation violated: require lambda_min >= {f2:g} * ell "
-            f"(ell << lambda_min), got lambda_min = {lam:g} m, ell = {ell:g} m; "
-            "lower validation.min_lambda_over_ell to override"
         )
 
 

@@ -1,14 +1,11 @@
 """Physical constants, species data, and characteristic densities.
 
 Everything in the package is SI: frequencies in rad/s, dipole moments in
-C*m, lengths in m, number densities in 1/m^3.  Atomic units appear only in
-the reporting helpers at the bottom.
+C*m, lengths in m, number densities in 1/m^3.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 
@@ -19,8 +16,6 @@ class PhysicalConstants:
     hbar: float = 1.054571817e-34        # J s
     epsilon0: float = 8.8541878128e-12   # F / m
     c: float = 2.99792458e8              # m / s
-    elementary_charge: float = 1.602176634e-19  # C
-    bohr_radius: float = 5.29177210903e-11      # m
 
 
 CODATA = PhysicalConstants()
@@ -65,34 +60,3 @@ def dicke_density(species: AtomSpecies, constants: PhysicalConstants = CODATA) -
     """
     return constants.hbar * species.omega * constants.epsilon0 / (2.0 * species.dipole**2)
 
-
-def hydrogen_dicke_density(constants: PhysicalConstants = CODATA) -> float:
-    """Closed form for hydrogen 1s-2p: 1 / (64 pi a0^3)."""
-    return 1.0 / (64.0 * math.pi * constants.bohr_radius**3)
-
-
-def mean_interatomic_distance(density: float) -> float:
-    """n**(-1/3) for density n > 0."""
-    if density <= 0.0:
-        raise ValueError("density must be positive")
-    return density ** (-1.0 / 3.0)
-
-
-def check_scale_separation(species: AtomSpecies, ell: float) -> None:
-    """Warn when the hard core is not small against the cutoff length."""
-    if species.core_diameter > ell:
-        warnings.warn(
-            f"core_diameter {species.core_diameter:g} m exceeds cutoff length "
-            f"{ell:g} m; pair statistics are outside the dilute-core regime",
-            stacklevel=2,
-        )
-
-
-def dipole_in_atomic_units(dipole: float, constants: PhysicalConstants = CODATA) -> float:
-    """C*m -> units of e*a0 (reporting only)."""
-    return dipole / (constants.elementary_charge * constants.bohr_radius)
-
-
-def dipole_from_atomic_units(value: float, constants: PhysicalConstants = CODATA) -> float:
-    """Units of e*a0 -> C*m (reporting only)."""
-    return value * constants.elementary_charge * constants.bohr_radius

@@ -104,26 +104,6 @@ def enclosed_fraction(profile: CutoffProfile, r):
     return 1.0 - np.exp(-t) * (1.0 + t + 0.5 * t * t)
 
 
-def grad_grad_coulomb(rvec) -> np.ndarray:
-    """(grad grad G)(r) = (I - 3 rhat rhat) / (4 pi r^3) for G = -1/(4 pi r)."""
-    rvec = np.asarray(rvec, dtype=float)
-    r = np.linalg.norm(rvec)
-    if r == 0.0:
-        raise ValueError("grad_grad_coulomb is singular at r = 0")
-    rhat = rvec / r
-    return (np.eye(3) - 3.0 * np.outer(rhat, rhat)) / (4.0 * math.pi * r**3)
-
-
-def spectral_integrand(profile: CutoffProfile, kvec) -> np.ndarray:
-    """Fourier-space integrand gamma(k)^2 (I - khat khat) of the K kernel."""
-    kvec = np.asarray(kvec, dtype=float)
-    k = np.linalg.norm(kvec)
-    if k == 0.0:
-        return np.eye(3)
-    khat = kvec / k
-    return float(gamma_k(profile, k)) ** 2 * (np.eye(3) - np.outer(khat, khat))
-
-
 # ---------------------------------------------------------------------------
 # scalar (transverse, longitudinal) reductions of K
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import blas
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .constants import CODATA, AtomSpecies, PhysicalConstants, dicke_density
+from .constants import CODATA, AtomSpecies, PhysicalConstants
 from .errors import (ConfigError, EigensolverConvergenceError,
                      InfeasiblePackingError, ScaleSeparationError)
 from .kernels import CutoffProfile, contact_scalars
@@ -53,15 +53,14 @@ def minimum_image(delta: np.ndarray, box_length: float) -> np.ndarray:
 
 
 def sample_configuration(density: float, box_length: float, core_diameter: float,
-                         seed, mc_sweeps: int = 0,
+                         seed,
                          attempts_per_atom: int = _DEFAULT_ATTEMPTS) -> Configuration:
     """Random sequential insertion of round(n L^3) hard spheres.
 
     Refuses packing fractions of 0.3 and above, where sequential insertion
-    degrades; below that it terminates fast.  ``mc_sweeps`` optional local
-    Metropolis passes (hard-sphere moves) decorrelate the RSA statistics for
-    sensitivity checks.  ``seed`` may be anything accepted by
-    ``np.random.SeedSequence``; equal seeds give identical configurations.
+    degrades; below that it terminates fast.  ``seed`` may be anything
+    accepted by ``np.random.SeedSequence``; equal seeds give identical
+    configurations.
     """
     if density <= 0.0 or box_length <= 0.0:
         raise ValueError("density and box_length must be positive")
@@ -100,46 +99,8 @@ def sample_configuration(density: float, box_length: float, core_diameter: float
                 continue
         positions[accepted] = trial
         accepted += 1
-
-    if mc_sweeps > 0:
-        step = 0.3 * core_diameter if core_diameter > 0.0 else 0.1 * box_length
-        for _ in range(mc_sweeps):
-            for i in range(n):
-                trial = (positions[i] + rng.uniform(-step, step, 3)) % box_length
-                if sigma2 > 0.0:
-                    d = minimum_image(np.delete(positions, i, axis=0) - trial, box_length)
-                    if np.min(np.einsum("ij,ij->i", d, d)) < sigma2:
-                        continue
-                positions[i] = trial
-
     return Configuration(box_length=box_length, core_diameter=core_diameter,
                          positions=positions)
-
-
-def pair_correlation(configs: list[Configuration], n_bins: int, r_max: float):
-    """Histogram estimate of g(r) averaged over configurations.
-
-    Returns (bin_centers, g_hat).  r_max must stay below half the box.
-    """
-    if not configs:
-        raise ValueError("need at least one configuration")
-    box = configs[0].box_length
-    if r_max > box / 2.0:
-        raise ValueError("r_max must not exceed half the box length")
-    edges = np.linspace(0.0, r_max, n_bins + 1)
-    counts = np.zeros(n_bins)
-    norm = 0.0
-    for cfg in configs:
-        n = cfg.n_atoms
-        iu, ju = np.triu_indices(n, k=1)
-        d = minimum_image(cfg.positions[iu] - cfg.positions[ju], box)
-        r = np.sqrt(np.einsum("ij,ij->i", d, d))
-        counts += np.histogram(r, bins=edges)[0]
-        norm += n * (n - 1) / 2.0 / box**3
-    shell = 4.0 * math.pi / 3.0 * (edges[1:] ** 3 - edges[:-1] ** 3)
-    g_hat = counts / (norm * shell)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    return centers, g_hat
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +183,6 @@ def build_mode_basis(box_length: float, lambda_min: float,
                      Omega=omega_arr, amplitude=amplitude)
 
 
-def mode_field(basis: ModeBasis, positions: np.ndarray) -> np.ndarray:
-    """Mode functions f_nu at given points; shape (M, P, 3)."""
-    phase = positions @ basis.k.T            # (P, M)
-    wave = np.where(basis.parity[None, :] == 0, np.cos(phase), np.sin(phase))
-    scal = basis.amplitude[None, :] * wave   # (P, M)
-    return np.einsum("pm,mc->mpc", scal, basis.pol)
-
-
 # ---------------------------------------------------------------------------
 # dynamical matrix
 
@@ -243,10 +196,6 @@ def assemble_dynamical_matrix(config: Configuration, basis: ModeBasis,
     n = config.n_atoms
     m = basis.n_modes
     dim = 3 * n + m
-    if dim > _MAX_MATRIX_DIM:
-        raise ConfigError(
-            f"dynamical matrix dimension {dim} exceeds the guard {_MAX_MATRIX_DIM}"
-        )
     omega = species.omega
     matrix = np.zeros((dim, dim))
 
@@ -264,7 +213,8 @@ def assemble_dynamical_matrix(config: Configuration, basis: ModeBasis,
         coupling = 2.0 * species.dipole**2 * omega / (constants.hbar * constants.epsilon0)
         qq = coupling * blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
         matrix[: 3 * n, : 3 * n] = qq
-    matrix[: 3 * n, : 3 * n] += omega * omega * np.eye(3 * n)
+    diagonal = np.arange(3 * n)
+    matrix[diagonal, diagonal] += omega * omega
 
     # atom-mode: d sqrt(omega Omega) / (hbar eps0) * f_nu(x_j)
     if m > 0:
@@ -375,12 +325,12 @@ def check_scan_separation(species: AtomSpecies, geometry: ScanGeometry,
 def _replica_eigs(density: float, geometry: ScanGeometry, basis: ModeBasis,
                   species: AtomSpecies, profile: CutoffProfile,
                   constants: PhysicalConstants, replicas: int, seed_block: tuple,
-                  mc_sweeps: int, include_contact: bool) -> np.ndarray:
+                  include_contact: bool) -> np.ndarray:
     eigs = np.empty(replicas)
     for j in range(replicas):
         cfg = sample_configuration(density, geometry.box_length,
                                    species.core_diameter,
-                                   seed=seed_block + (j,), mc_sweeps=mc_sweeps)
+                                   seed=seed_block + (j,))
         mat = assemble_dynamical_matrix(cfg, basis, species, profile, constants,
                                         include_contact=include_contact)
         eigs[j] = minimal_eigenvalue(mat, basis.n_modes)
@@ -389,8 +339,7 @@ def _replica_eigs(density: float, geometry: ScanGeometry, basis: ModeBasis,
 
 def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
                    geometry: ScanGeometry, replicas: int = 10, master_seed: int = 0,
-                   bisect_steps: int = 8, mc_sweeps: int = 0,
-                   include_contact: bool = True,
+                   bisect_steps: int = 8, include_contact: bool = True,
                    min_ell_over_core: float = 4.0,
                    min_lambda_over_ell: float = 4.0,
                    constants: PhysicalConstants = CODATA) -> StabilityReport:
@@ -425,7 +374,7 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
     atoms = np.empty(densities.size, dtype=int)
     for i, density in enumerate(densities):
         eigs = _replica_eigs(density, geometry, basis, species, profile, constants,
-                             replicas, (master_seed, 0, i), mc_sweeps, include_contact)
+                             replicas, (master_seed, 0, i), include_contact)
         mean[i] = eigs.mean()
         std[i] = eigs.std(ddof=1) if replicas > 1 else 0.0
         frac[i] = np.mean(eigs < 0.0)
@@ -447,8 +396,7 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
     for step in range(bisect_steps):
         mid = 0.5 * (lo + hi)
         eigs = _replica_eigs(mid, geometry, basis, species, profile, constants,
-                             replicas, (master_seed, 1, step), mc_sweeps,
-                             include_contact)
+                             replicas, (master_seed, 1, step), include_contact)
         report.probes.append((mid, float(eigs.mean())))
         if eigs.mean() <= 0.0:
             hi = mid

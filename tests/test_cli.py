@@ -246,6 +246,21 @@ def test_scale_separation_violation_exits_with_config_error(tmp_path, capsys):
     assert "lambda_min >= 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_negative_seed_exits_with_config_error(tmp_path, capsys, route):
+    overrides = {"microsim.density_ratios": "0.3", "microsim.replicas": "1"}
+    argv = []
+    if route == "config":
+        overrides["microsim.seed"] = "-3"
+    else:
+        argv = ["--seed", "-1"]
+    cfg = _write_config(tmp_path, _base_config(**overrides))
+    assert main(["microsim", "--config", cfg, "--out", str(tmp_path / "o")]
+                + argv) == 2
+    assert "seed cannot be negative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_infeasible_packing_exits_with_sampling_error(tmp_path, capsys):
     # ratio 3.0 keeps the matrix under the dimension guard but pushes the
     # hard-sphere packing fraction to 0.39, past the insertion refusal at 0.3

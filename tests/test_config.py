@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_species
-from depolgas.config import (check_lengths_for_meanfield,
-                             check_lengths_for_microsim, env_name, load_config,
-                             parse_kv_text, resolved_lines)
+from depolgas.config import (check_lengths_for_meanfield, env_name,
+                             load_config, parse_kv_text, resolved_lines)
 from depolgas.errors import ConfigError, ScaleSeparationError
 from depolgas.kernels import GAUSSIAN
 
@@ -104,12 +103,30 @@ def test_load_config_validation_errors(tmp_path):
         "microsim.replicas": "0",
         "microsim.lambda_min_over_ell": "-2",
         "microsim.density_ratios": "0.5,-1.0",
+        "microsim.seed": "-3",
         "meanfield.Omega_rad_per_s": "0",
         "kernel_check.r_over_ell": "-0.5",
     }
     for key, value in cases.items():
         with pytest.raises(ConfigError):
             load_config(_write(tmp_path, _minimal_text(**{key: value})), env={})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cutoff.ell_m", "nan"),
+    ("species.core_diameter_m", "inf"),
+    ("microsim.box_over_ell", "-inf"),
+    ("microsim.density_ratios", "0.25,nan"),
+    ("microsim.density_ratios", "0.25,inf"),
+    ("meanfield.Omega_rad_per_s", "3e8,NaN"),
+])
+def test_load_config_rejects_non_finite_floats(tmp_path, key, value):
+    # every float and float-list value, whether from the file or from the
+    # environment, is refused before it reaches a command
+    with pytest.raises(ConfigError, match="not a finite number"):
+        load_config(_write(tmp_path, _minimal_text(**{key: value})), env={})
+    with pytest.raises(ConfigError, match="not a finite number"):
+        load_config(_write(tmp_path, _minimal_text()), env={env_name(key): value})
 
 
 def test_environment_overrides_config_values(tmp_path):
@@ -159,10 +176,3 @@ def test_meanfield_length_gate(tmp_path):
         env={})
     check_lengths_for_meanfield(relaxed)
 
-
-def test_microsim_length_gate_rejects_equal_scales(tmp_path):
-    text = _minimal_text(**{"microsim.lambda_min_over_ell": "1.0",
-                            "validation.min_ell_over_core": "0.8"})
-    cfg = load_config(_write(tmp_path, text), env={})
-    with pytest.raises(ScaleSeparationError, match="lambda_min >= 4"):
-        check_lengths_for_microsim(cfg)

@@ -1,22 +1,14 @@
 from __future__ import annotations
 
-import math
-
 import pytest
 
-from depolgas.constants import (CODATA, AtomSpecies, check_scale_separation,
-                                dicke_density, dipole_from_atomic_units,
-                                dipole_in_atomic_units, hydrogen_dicke_density,
-                                mean_interatomic_distance)
+from depolgas.constants import AtomSpecies, dicke_density
 
 # frozen oracle: n_D = hbar omega eps0 / (2 d^2) for the Rb D1 line,
 # omega = 2 pi c / 794.98 nm, d = 2.537e-29 C m
 _RB_OMEGA = 2369432649008595.5
 _RB_DIPOLE = 2.537e-29
 _RB_ND = 1.7186930825110133e27
-
-# frozen oracle: 1 / (64 pi a0^3)
-_HYDROGEN_ND = 3.3563462264162404e28
 
 
 def _rb_species() -> AtomSpecies:
@@ -43,23 +35,6 @@ def test_dicke_density_scaling_in_omega_and_dipole():
     assert dicke_density(doubled_dipole) == pytest.approx(0.25 * n0, rel=1e-14)
 
 
-def test_hydrogen_dicke_density_closed_form():
-    assert hydrogen_dicke_density() == pytest.approx(_HYDROGEN_ND, rel=1e-12)
-    direct = 1.0 / (64.0 * math.pi * CODATA.bohr_radius**3)
-    assert hydrogen_dicke_density() == direct
-
-
-def test_mean_interatomic_distance():
-    n_d = dicke_density(_rb_species())
-    # ~0.83 nm at the Rb Dicke density, an order of magnitude above a0
-    assert mean_interatomic_distance(n_d) == pytest.approx(n_d ** (-1.0 / 3.0))
-    assert 5e-10 < mean_interatomic_distance(n_d) < 1.2e-9
-    with pytest.raises(ValueError):
-        mean_interatomic_distance(0.0)
-    with pytest.raises(ValueError):
-        mean_interatomic_distance(-1.0)
-
-
 def test_species_validation_rejects_nonpositive_parameters():
     with pytest.raises(ValueError):
         AtomSpecies(name="x", omega=0.0, dipole=1e-29)
@@ -69,23 +44,3 @@ def test_species_validation_rejects_nonpositive_parameters():
         AtomSpecies(name="x", omega=1e15, dipole=0.0)
     with pytest.raises(ValueError):
         AtomSpecies(name="x", omega=1e15, dipole=1e-29, core_diameter=-1e-10)
-
-
-def test_scale_separation_warns_when_core_exceeds_ell():
-    species = _rb_species()
-    with pytest.warns(UserWarning):
-        check_scale_separation(species, ell=1e-10)
-    # no warning for a comfortably larger cutoff
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        check_scale_separation(species, ell=1e-8)
-
-
-def test_dipole_atomic_unit_roundtrip():
-    ea0 = CODATA.elementary_charge * CODATA.bohr_radius
-    assert dipole_in_atomic_units(ea0) == pytest.approx(1.0, rel=1e-14)
-    value = dipole_in_atomic_units(_RB_DIPOLE)
-    assert 2.5 < value < 3.5  # Rb D1 dipole is about 3 atomic units
-    assert dipole_from_atomic_units(value) == pytest.approx(_RB_DIPOLE, rel=1e-14)

@@ -8,8 +8,8 @@ from scipy import integrate
 
 from depolgas.kernels import (GAUSSIAN, LORENTZIAN, CutoffProfile,
                               contact_scalars, enclosed_fraction, gamma_k,
-                              gamma_peak, gamma_r, grad_grad_coulomb, kernel_k,
-                              kernel_u, radial_scalars, spectral_integrand)
+                              gamma_peak, gamma_r, kernel_k, kernel_u,
+                              radial_scalars)
 
 # frozen oracle: closed-form enclosed fractions at r/ell = 0.5, cross-checked
 # against direct quadrature of 4 pi s^2 Gamma(s) (agreement ~4e-17)
@@ -17,6 +17,16 @@ _M_GAUSS_HALF = 0.011322857824208332
 _M_LOR_HALF = 0.014387677966970713
 
 _DIRECTION = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
+
+
+def _grad_grad_coulomb(rvec) -> np.ndarray:
+    """(grad grad G)(r) = (I - 3 rhat rhat) / (4 pi r^3) for G = -1/(4 pi r)."""
+    rvec = np.asarray(rvec, dtype=float)
+    r = np.linalg.norm(rvec)
+    if r == 0.0:
+        raise ValueError("grad grad G is singular at r = 0")
+    rhat = rvec / r
+    return (np.eye(3) - 3.0 * np.outer(rhat, rhat)) / (4.0 * math.pi * r**3)
 
 
 def test_profile_validation():
@@ -147,7 +157,7 @@ def test_kernel_far_field_approaches_static_dipole_tensor():
         profile = CutoffProfile(ell=1.0, shape=shape)
         rvec = _DIRECTION * r
         k = kernel_k(profile, rvec)
-        dip = grad_grad_coulomb(rvec)
+        dip = _grad_grad_coulomb(rvec)
         assert np.max(np.abs(k + dip)) <= tol * np.max(np.abs(dip))
 
 
@@ -185,21 +195,14 @@ def test_contact_kernel_rejects_origin(profile):
 
 def test_grad_grad_coulomb_properties():
     rvec = np.array([0.3, -1.2, 0.4])
-    t = grad_grad_coulomb(rvec)
+    t = _grad_grad_coulomb(rvec)
     assert np.trace(t) == pytest.approx(0.0, abs=1e-16 / np.linalg.norm(rvec) ** 3)
     r = np.linalg.norm(rvec)
     rhat = rvec / r
     expected = (np.eye(3) - 3.0 * np.outer(rhat, rhat)) / (4.0 * math.pi * r**3)
     assert np.allclose(t, expected, rtol=1e-14)
     with pytest.raises(ValueError):
-        grad_grad_coulomb([0.0, 0.0, 0.0])
-
-
-def test_spectral_integrand_is_transverse(profile):
-    kvec = np.array([0.7, -0.2, 1.1])
-    tensor = spectral_integrand(profile, kvec)
-    assert np.allclose(tensor @ kvec, 0.0, atol=1e-16)
-    assert np.array_equal(spectral_integrand(profile, np.zeros(3)), np.eye(3))
+        _grad_grad_coulomb([0.0, 0.0, 0.0])
 
 
 def test_invalid_inputs_raise(profile):

@@ -14,10 +14,10 @@ from depolgas.errors import (ConfigError, InfeasiblePackingError,
                              ScaleSeparationError)
 from depolgas.kernels import GAUSSIAN, CutoffProfile
 from depolgas.meanfield import DispersionInput, branch_frequencies
-from depolgas.microsim import (Configuration, ModeBasis, ScanGeometry,
-                               assemble_dynamical_matrix, build_mode_basis,
-                               check_scan_separation, minimal_eigenvalue,
-                               minimum_image, mode_field, pair_correlation,
+from depolgas.microsim import (_MAX_MATRIX_DIM, Configuration, ModeBasis,
+                               ScanGeometry, assemble_dynamical_matrix,
+                               build_mode_basis, check_scan_separation,
+                               minimal_eigenvalue, minimum_image,
                                sample_configuration, stability_scan)
 
 _PROFILE = CutoffProfile(ell=ELL, shape=GAUSSIAN)
@@ -36,6 +36,36 @@ def _pair_distances(cfg: Configuration) -> np.ndarray:
     iu, ju = np.triu_indices(cfg.n_atoms, k=1)
     d = minimum_image(cfg.positions[iu] - cfg.positions[ju], cfg.box_length)
     return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+
+def _pair_correlation(configs: list[Configuration], n_bins: int, r_max: float):
+    """Histogram estimate of g(r) averaged over configurations.
+
+    Returns (bin_centers, g_hat).  r_max must stay below half the box.
+    """
+    if not configs:
+        raise ValueError("need at least one configuration")
+    box = configs[0].box_length
+    if r_max > box / 2.0:
+        raise ValueError("r_max must not exceed half the box length")
+    edges = np.linspace(0.0, r_max, n_bins + 1)
+    counts = np.zeros(n_bins)
+    norm = 0.0
+    for cfg in configs:
+        n = cfg.n_atoms
+        counts += np.histogram(_pair_distances(cfg), bins=edges)[0]
+        norm += n * (n - 1) / 2.0 / box**3
+    shell = 4.0 * math.pi / 3.0 * (edges[1:] ** 3 - edges[:-1] ** 3)
+    centers = 0.5 * (edges[1:] + edges[:-1])
+    return centers, counts / (norm * shell)
+
+
+def _mode_field(basis: ModeBasis, positions: np.ndarray) -> np.ndarray:
+    """Mode functions f_nu at given points; shape (M, P, 3)."""
+    phase = positions @ basis.k.T            # (P, M)
+    wave = np.where(basis.parity[None, :] == 0, np.cos(phase), np.sin(phase))
+    scal = basis.amplitude[None, :] * wave   # (P, M)
+    return np.einsum("pm,mc->mpc", scal, basis.pol)
 
 
 def _finite_k_slope(k_ell: float, sigma_over_ell: float) -> float:
@@ -87,15 +117,6 @@ def test_sample_configuration_determinism():
     assert not np.array_equal(a.positions, c.positions)
 
 
-def test_sample_configuration_metropolis_sweeps_preserve_invariants():
-    density = 0.5 * ND_PER_ELL3 / ELL**3
-    plain = sample_configuration(density, 8.0 * ELL, 1.15 * ELL, seed=1)
-    moved = sample_configuration(density, 8.0 * ELL, 1.15 * ELL, seed=1, mc_sweeps=3)
-    assert moved.n_atoms == plain.n_atoms
-    assert _pair_distances(moved).min() >= 1.15 * ELL
-    assert not np.array_equal(moved.positions, plain.positions)
-
-
 def test_sample_configuration_rejects_bad_input():
     with pytest.raises(ValueError):
         sample_configuration(0.0, 1.0, 0.1, seed=0)
@@ -115,7 +136,7 @@ def test_pair_correlation_of_the_sampler():
     sigma = 1.15 * ELL
     configs = [sample_configuration(density, box, sigma, seed=(11, i))
                for i in range(200)]
-    centers, g_hat = pair_correlation(configs, n_bins=25, r_max=0.5 * box)
+    centers, g_hat = _pair_correlation(configs, n_bins=25, r_max=0.5 * box)
     assert np.all(g_hat[centers < sigma] < 0.05)
     far = g_hat[centers > 2.0 * sigma]
     assert far.size > 5
@@ -124,10 +145,10 @@ def test_pair_correlation_of_the_sampler():
 
 def test_pair_correlation_validation():
     with pytest.raises(ValueError):
-        pair_correlation([], n_bins=10, r_max=1.0)
+        _pair_correlation([], n_bins=10, r_max=1.0)
     cfg = sample_configuration(10.0, 2.0, 0.0, seed=0)
     with pytest.raises(ValueError):
-        pair_correlation([cfg], n_bins=10, r_max=1.5)  # beyond half the box
+        _pair_correlation([cfg], n_bins=10, r_max=1.5)  # beyond half the box
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +205,14 @@ def test_mode_basis_rejects_empty_and_invalid():
 
 
 def test_mode_field_matches_direct_evaluation():
-    basis = build_mode_basis(box_length=8.0, lambda_min=8.0)
-    rng = np.random.default_rng(2)
-    pos = rng.uniform(0.0, 8.0, (5, 3))
-    field = mode_field(basis, pos)
+    # the cross block of the assembled matrix is
+    # g_{j,nu} = d sqrt(omega Omega_nu) / (hbar eps0) f_nu(x_j), and the
+    # oracle f_nu agrees with a scalar evaluation of every mode at every atom
+    box = 8.0 * ELL
+    basis = build_mode_basis(box, 6.0 * ELL)
+    species = synthetic_species()
+    pos = np.random.default_rng(2).uniform(0.0, box, (5, 3))
+    field = _mode_field(basis, pos)
     assert field.shape == (basis.n_modes, 5, 3)
     for nu in range(basis.n_modes):
         for p in range(5):
@@ -195,6 +220,15 @@ def test_mode_field_matches_direct_evaluation():
             wave = math.cos(phase) if basis.parity[nu] == 0 else math.sin(phase)
             expected = basis.amplitude[nu] * wave * basis.pol[nu]
             assert np.allclose(field[nu, p], expected, rtol=1e-13, atol=0.0)
+
+    cfg = Configuration(box_length=box, core_diameter=species.core_diameter,
+                        positions=pos)
+    mat = assemble_dynamical_matrix(cfg, basis, species, _PROFILE)
+    coupling = (species.dipole * np.sqrt(species.omega * basis.Omega)
+                / (CODATA.hbar * CODATA.epsilon0))
+    expected = coupling[:, None, None] * field               # (M, P, 3)
+    cross = mat[:15, 15:].reshape(5, 3, basis.n_modes)       # (P, 3, M)
+    assert np.allclose(cross, expected.transpose(1, 2, 0), rtol=1e-13, atol=0.0)
 
 
 def test_mode_normalization_on_grid():
@@ -206,7 +240,7 @@ def test_mode_normalization_on_grid():
     axis = np.arange(n_grid) * (box / n_grid)
     xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
     points = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
-    field = mode_field(basis, points)                      # (M, P, 3)
+    field = _mode_field(basis, points)                     # (M, P, 3)
     weight = (box / n_grid) ** 3
     gram = weight * np.einsum("mpc,npc->mn", field, field)
     target = 2.0 * CODATA.hbar * basis.Omega * CODATA.epsilon0
@@ -309,11 +343,14 @@ def test_minimal_eigenvalue_matches_the_secular_fixed_point(rho):
 
 
 def test_dynamical_matrix_dimension_guard():
-    cfg = Configuration(box_length=8.0 * ELL, core_diameter=0.0,
-                        positions=np.zeros((2700, 3)))
-    basis = build_mode_basis(8.0 * ELL, 6.0 * ELL)
-    with pytest.raises(ConfigError):
-        assemble_dynamical_matrix(cfg, basis, synthetic_species(), _PROFILE)
+    # the scan refuses before sampling: the densest grid point alone holds
+    # more atoms than the guard allows (and far more than fit the box)
+    species = synthetic_species()
+    geometry = ScanGeometry(ell=ELL, box_over_ell=8.0, lambda_min_over_ell=6.0)
+    too_many = (_MAX_MATRIX_DIM // 3 + 1) / geometry.box_length**3
+    with pytest.raises(ConfigError, match="exceeds the guard"):
+        stability_scan([0.5 * dicke_density(species), too_many], species,
+                       _PROFILE, geometry, min_ell_over_core=0.8)
 
 
 def test_single_atom_matches_two_level_mean_field():
