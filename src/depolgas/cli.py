@@ -6,7 +6,7 @@ artifacts: ``<command>.csv``, ``resolved_config.txt`` and ``manifest.txt``.
 CSV bodies are deterministic for a fixed config and seed on one machine,
 numpy/scipy build and BLAS thread count; the manifest additionally records
 the BLAS thread variables and wall time, which is excluded from the
-determinism contract.
+determinism contract; ``microsim`` adds its per-phase timings there.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence,
 4 infeasible sampling.
@@ -21,6 +21,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -80,16 +81,24 @@ def _map_rows(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def _write_outputs(out_dir: Path, command: str, header: list[str],
-                   rows: list[list], footer: list[str], cfg: RunConfig,
+class _Output(NamedTuple):
+    """What a subcommand produces: the CSV parts and extra manifest lines."""
+
+    header: list[str]
+    rows: list[list]
+    footer: list[str]
+    manifest: tuple[str, ...] = ()
+
+
+def _write_outputs(out_dir: Path, command: str, output: _Output, cfg: RunConfig,
                    seed, started: float) -> None:
     precision = cfg.values["output.precision"]
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    body_lines = [",".join(header)]
-    for row in rows:
+    body_lines = [",".join(output.header)]
+    for row in output.rows:
         body_lines.append(",".join(_fmt(v, precision) for v in row))
-    body_lines.extend(footer)
+    body_lines.extend(output.footer)
     body = "\n".join(body_lines) + "\n"
 
     config_text = "\n".join(resolved_lines(cfg)) + "\n"
@@ -110,6 +119,7 @@ def _write_outputs(out_dir: Path, command: str, header: list[str],
                     f"seed = {seed if seed is not None else ''}"]
         manifest += [f"config.{line}" for line in resolved_lines(cfg)]
         manifest += [f"csv_sha256 = {hashlib.sha256(body.encode()).hexdigest()}",
+                     *output.manifest,
                      f"wall_time_s = {time.monotonic() - started:.3f}  # excluded from determinism"]
         with open(out_dir / "manifest.txt", "x", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(manifest) + "\n")
@@ -143,7 +153,7 @@ def _cmd_kernel_check(cfg: RunConfig, args, errors: _RowErrors):
     rows = _map_rows(one, cfg.values["kernel_check.r_over_ell"], args.workers)
     header = ["r_over_ell", "Gamma", "trK", "2Gamma", "trU",
               "route_disagreement", "error"]
-    return header, rows, []
+    return _Output(header, rows, [])
 
 
 def _shift_context(cfg: RunConfig):
@@ -159,7 +169,7 @@ def _cmd_shift(cfg: RunConfig, args, errors: _RowErrors):
     slope = shift_slope(j, g.contact_value)
     rows = [[rho, slope * rho, ""] for rho in cfg.values["meanfield.density_ratios"]]
     footer = [f"# J_overlap = {j:.17g}", f"# g_zero = {g.contact_value:.17g}"]
-    return ["density_ratio", "varsigma", "error"], rows, footer
+    return _Output(["density_ratio", "varsigma", "error"], rows, footer)
 
 
 def _cmd_dispersion(cfg: RunConfig, args, errors: _RowErrors):
@@ -186,7 +196,7 @@ def _cmd_dispersion(cfg: RunConfig, args, errors: _RowErrors):
     header = ["Omega_rad_per_s", "density_ratio", "varsigma",
               "s2_plus_over_wW", "s2_minus_over_wW",
               "s2_plus_rad2_per_s2", "s2_minus_rad2_per_s2", "stable", "error"]
-    return header, rows, []
+    return _Output(header, rows, [])
 
 
 def _cmd_critical(cfg: RunConfig, args, errors: _RowErrors):
@@ -205,7 +215,7 @@ def _cmd_critical(cfg: RunConfig, args, errors: _RowErrors):
     header = ["n_c_over_nD", "n_c_per_m3", "J_overlap", "g_zero",
               "varsigma_at_critical", "bisection_n_c_over_nD", "error"]
     footer = [f"# n_D_per_m3 = {n_dicke:.17g}"]
-    return header, [row], footer
+    return _Output(header, [row], footer)
 
 
 def _cmd_microsim(cfg: RunConfig, args, errors: _RowErrors):
@@ -242,7 +252,9 @@ def _cmd_microsim(cfg: RunConfig, args, errors: _RowErrors):
     footer.append(f"# n_D_per_m3 = {_fmt(n_dicke, p)}")
     header = ["density_over_nD", "n_per_m3", "n_atoms", "min_eig_mean",
               "min_eig_std", "unstable_fraction", "error"]
-    return header, rows, footer
+    timings = tuple(f"phase_s.{phase} = {seconds:.3f}  # excluded from determinism"
+                    for phase, seconds in report.phase_s.items())
+    return _Output(header, rows, footer, timings)
 
 
 _COMMANDS = {
@@ -279,9 +291,9 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed cannot be negative, got {args.seed}")
         cfg = load_config(args.config)
-        header, rows, footer = _COMMANDS[args.command](cfg, args, errors)
-        _write_outputs(Path(args.out), args.command, header, rows, footer,
-                       cfg, args.seed if args.seed is not None
+        output = _COMMANDS[args.command](cfg, args, errors)
+        _write_outputs(Path(args.out), args.command, output, cfg,
+                       args.seed if args.seed is not None
                        else cfg.values["microsim.seed"], started)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,19 +18,26 @@ threshold by the sign change of the replica average.
 from __future__ import annotations
 
 import math
+import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.spatial import cKDTree
 
-from .constants import CODATA, AtomSpecies, PhysicalConstants
+from .constants import CODATA, AtomSpecies, PhysicalConstants, dicke_density
 from .errors import (ConfigError, EigensolverConvergenceError,
                      InfeasiblePackingError, ScaleSeparationError)
 from .kernels import CutoffProfile, contact_scalars
 
 MAX_PACKING = 0.3          # RSA stays well clear of its jamming fraction
-_DEFAULT_ATTEMPTS = 3000   # insertion attempts allowed per atom
+_ATTEMPTS_PER_ATOM = 3000  # insertion attempts allowed per atom
+_MIN_BLOCK = 64            # fewest trials drawn at once
+# tree search radius over the core diameter: the tree's periodic distance
+# and the exact minimum-image test differ only by rounding
+_SEARCH_SLACK = 1.001
 _MAX_MATRIX_DIM = 8000
 
 
@@ -52,15 +59,29 @@ def minimum_image(delta: np.ndarray, box_length: float) -> np.ndarray:
     return delta - box_length * np.rint(delta / box_length)
 
 
+def _overlapping(earlier: np.ndarray, later: np.ndarray, box_length: float,
+                 sigma2: float) -> np.ndarray:
+    """Exact hard-core test of row pairs (the earlier insertion first)."""
+    d = minimum_image(earlier - later, box_length)
+    return np.einsum("ij,ij->i", d, d) < sigma2
+
+
 def sample_configuration(density: float, box_length: float, core_diameter: float,
-                         seed,
-                         attempts_per_atom: int = _DEFAULT_ATTEMPTS) -> Configuration:
+                         seed) -> Configuration:
     """Random sequential insertion of round(n L^3) hard spheres.
 
     Refuses packing fractions of 0.3 and above, where sequential insertion
     degrades; below that it terminates fast.  ``seed`` may be anything
     accepted by ``np.random.SeedSequence``; equal seeds give identical
     configurations.
+
+    Trials are drawn in blocks, which yields the same numbers as one draw
+    per trial.  Periodic KD-trees over a slightly larger radius find the
+    candidate overlaps with the accepted spheres and inside the block;
+    the exact minimum-image test decides them, and overlaps inside a block
+    are settled in trial order.  The accepted positions are therefore those
+    of inserting one trial at a time, and the attempt budget, charged per
+    trial, runs out on the same trial.
     """
     if density <= 0.0 or box_length <= 0.0:
         raise ValueError("density and box_length must be positive")
@@ -83,22 +104,40 @@ def sample_configuration(density: float, box_length: float, core_diameter: float
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     positions = np.empty((n, 3))
     sigma2 = core_diameter * core_diameter
-    budget = attempts_per_atom * n
-    accepted = 0
+    radius = _SEARCH_SLACK * core_diameter
+    budget = _ATTEMPTS_PER_ATOM * n
+    accepted = used = 0
     while accepted < n:
-        if budget <= 0:
+        if used >= budget:
             raise InfeasiblePackingError(
                 f"insertion stalled at {accepted}/{n} spheres "
                 f"(packing fraction {packing:.3f})"
             )
-        trial = rng.uniform(0.0, box_length, 3)
-        budget -= 1
-        if accepted and sigma2 > 0.0:
-            d = minimum_image(positions[:accepted] - trial, box_length)
-            if np.min(np.einsum("ij,ij->i", d, d)) < sigma2:
-                continue
-        positions[accepted] = trial
-        accepted += 1
+        # enough trials for the missing spheres at the acceptance rate so far
+        size = min(budget - used,
+                   max(_MIN_BLOCK, (n - accepted) * (used + 1) // (accepted + 1)))
+        trials = rng.uniform(0.0, box_length, (size, 3))
+        used += size
+        near = cKDTree(trials, boxsize=box_length).sparse_distance_matrix(
+            cKDTree(positions[:accepted], boxsize=box_length), radius,
+            output_type="ndarray")
+        hit = _overlapping(positions[near["j"]], trials[near["i"]],
+                           box_length, sigma2)
+        free = np.ones(size, dtype=bool)
+        free[near["i"][hit]] = False
+        trials = trials[free]
+        pairs = cKDTree(trials, boxsize=box_length).query_pairs(
+            radius, output_type="ndarray")
+        pairs = pairs[_overlapping(trials[pairs[:, 0]], trials[pairs[:, 1]],
+                                   box_length, sigma2)]
+        # in order of the later trial, so each earlier one is already settled
+        keep = np.ones(len(trials), dtype=bool)
+        for i, j in pairs[np.argsort(pairs[:, 1], kind="stable")].tolist():
+            if keep[i]:
+                keep[j] = False
+        kept = trials[keep][: n - accepted]
+        positions[accepted: accepted + len(kept)] = kept
+        accepted += len(kept)
     return Configuration(box_length=box_length, core_diameter=core_diameter,
                          positions=positions)
 
@@ -199,20 +238,31 @@ def assemble_dynamical_matrix(config: Configuration, basis: ModeBasis,
     omega = species.omega
     matrix = np.zeros((dim, dim))
 
-    # atom-atom: omega^2 on the diagonal plus the contact kernel on pairs
+    # atom-atom: omega^2 on the diagonal plus the contact kernel on pairs.
+    # Minimum-image differences are exactly antisymmetric, so the i < j
+    # pairs give every block; each of the 6 unique (a, b) components goes
+    # through one symmetric (n, n) buffer into the strided view of its rows
+    # a::3 and columns b::3
     if include_contact and n > 1:
-        diff = minimum_image(pos[:, None, :] - pos[None, :, :], config.box_length)
-        r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(r, 1.0)  # placeholder, pair blocks zeroed below
+        iu, ju = np.triu_indices(n, 1)
+        diff = minimum_image(np.take(pos, iu, axis=0) - np.take(pos, ju, axis=0),
+                             config.box_length)
+        r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         ut, ul = contact_scalars(profile, r)
-        rhat = diff / r[:, :, None]
-        outer = np.einsum("ija,ijb->ijab", rhat, rhat)
-        blocks = ut[:, :, None, None] * np.eye(3) + (ul - ut)[:, :, None, None] * outer
-        idx = np.arange(n)
-        blocks[idx, idx] = 0.0
+        dl = ul - ut
+        rhat = np.ascontiguousarray((diff / r[:, None]).T)
         coupling = 2.0 * species.dipole**2 * omega / (constants.hbar * constants.epsilon0)
-        qq = coupling * blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
-        matrix[: 3 * n, : 3 * n] = qq
+        buffer = np.zeros((n, n))
+        flat = buffer.reshape(-1)
+        upper, lower = iu * n + ju, ju * n + iu
+        for a in range(3):
+            for b in range(a, 3):
+                delta = 1.0 if a == b else 0.0
+                flat[upper] = flat[lower] = coupling * (
+                    ut * delta + dl * (rhat[a] * rhat[b]))
+                matrix[a:3 * n:3, b:3 * n:3] = buffer
+                if a != b:
+                    matrix[b:3 * n:3, a:3 * n:3] = buffer
     diagonal = np.arange(3 * n)
     matrix[diagonal, diagonal] += omega * omega
 
@@ -301,6 +351,9 @@ class StabilityReport:
     threshold_low: float | None = None   # 1/m^3
     threshold_high: float | None = None
     probes: list = field(default_factory=list)
+    # perf_counter seconds spent per phase over every replica of the scan
+    phase_s: dict = field(default_factory=lambda: dict.fromkeys(
+        ("sample", "assemble", "eig"), 0.0))
 
 
 def check_scan_separation(species: AtomSpecies, geometry: ScanGeometry,
@@ -324,17 +377,30 @@ def check_scan_separation(species: AtomSpecies, geometry: ScanGeometry,
 
 def _replica_eigs(density: float, geometry: ScanGeometry, basis: ModeBasis,
                   species: AtomSpecies, profile: CutoffProfile,
-                  constants: PhysicalConstants, replicas: int, seed_block: tuple,
-                  include_contact: bool) -> np.ndarray:
-    eigs = np.empty(replicas)
-    for j in range(replicas):
+                  constants: PhysicalConstants, report: StabilityReport,
+                  seed_block: tuple, include_contact: bool) -> np.ndarray:
+    eigs = np.empty(report.replicas)
+    phase = report.phase_s
+    for j in range(report.replicas):
+        t0 = time.perf_counter()
         cfg = sample_configuration(density, geometry.box_length,
                                    species.core_diameter,
                                    seed=seed_block + (j,))
+        t1 = time.perf_counter()
         mat = assemble_dynamical_matrix(cfg, basis, species, profile, constants,
                                         include_contact=include_contact)
+        t2 = time.perf_counter()
         eigs[j] = minimal_eigenvalue(mat, basis.n_modes)
+        t3 = time.perf_counter()
+        phase["sample"] += t1 - t0
+        phase["assemble"] += t2 - t1
+        phase["eig"] += t3 - t2
     return eigs
+
+
+def _progress(step: str, density_over_nd: float, n_atoms: int, started: float) -> None:
+    print(f"microsim {step}: {density_over_nd:.6g} n_D, N = {n_atoms}, "
+          f"{time.perf_counter() - started:.2f} s elapsed", file=sys.stderr, flush=True)
 
 
 def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
@@ -349,7 +415,8 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
     (master_seed, phase, task indices), so results are reproducible and
     independent of evaluation order.  After the grid pass, the first sign
     change of the replica-averaged minimal eigenvalue is refined by
-    ``bisect_steps`` density bisections with fresh replicas.
+    ``bisect_steps`` density bisections with fresh replicas.  Each grid
+    density and each bisection probe reports one progress line on stderr.
     """
     if profile.ell != geometry.ell:
         raise ConfigError("profile.ell and geometry.ell must agree")
@@ -372,17 +439,20 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
     std = np.empty(densities.size)
     frac = np.empty(densities.size)
     atoms = np.empty(densities.size, dtype=int)
+    report = StabilityReport(density_grid=densities, min_eig_mean=mean,
+                             min_eig_std=std, unstable_fraction=frac,
+                             atoms_per_density=atoms, replicas=replicas)
+    n_dicke = dicke_density(species, constants)
+    started = time.perf_counter()
     for i, density in enumerate(densities):
         eigs = _replica_eigs(density, geometry, basis, species, profile, constants,
-                             replicas, (master_seed, 0, i), include_contact)
+                             report, (master_seed, 0, i), include_contact)
         mean[i] = eigs.mean()
         std[i] = eigs.std(ddof=1) if replicas > 1 else 0.0
         frac[i] = np.mean(eigs < 0.0)
         atoms[i] = int(round(density * geometry.box_length**3))
-
-    report = StabilityReport(density_grid=densities, min_eig_mean=mean,
-                             min_eig_std=std, unstable_fraction=frac,
-                             atoms_per_density=atoms, replicas=replicas)
+        _progress(f"grid {i + 1}/{densities.size}", density / n_dicke, atoms[i],
+                  started)
 
     crossing = None
     for i in range(densities.size - 1):
@@ -396,8 +466,10 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
     for step in range(bisect_steps):
         mid = 0.5 * (lo + hi)
         eigs = _replica_eigs(mid, geometry, basis, species, profile, constants,
-                             replicas, (master_seed, 1, step), include_contact)
+                             report, (master_seed, 1, step), include_contact)
         report.probes.append((mid, float(eigs.mean())))
+        _progress(f"probe {step + 1}/{bisect_steps}", mid / n_dicke,
+                  int(round(mid * geometry.box_length**3)), started)
         if eigs.mean() <= 0.0:
             hi = mid
         else:

@@ -68,6 +68,7 @@ def test_kernel_check_runs_and_manifests_are_consistent(tmp_path, monkeypatch):
     assert "wall_time_s" in manifest
     assert ("blas_threads = OMP_NUM_THREADS=1,OPENBLAS_NUM_THREADS=unset,"
             "MKL_NUM_THREADS=2") in manifest.splitlines()
+    assert "phase_s." not in manifest  # only microsim times phases
     assert (out / "resolved_config.txt").exists()
 
 
@@ -143,7 +144,7 @@ def test_critical_reports_missing_instability_in_the_row(tmp_path):
     assert float(row["J_overlap"]) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_microsim_smoke_run_without_crossing(tmp_path):
+def test_microsim_smoke_run_without_crossing(tmp_path, capsys):
     # one long-wavelength mode shell; densities far below its threshold
     cfg = _write_config(tmp_path, _base_config(
         **{"microsim.box_over_ell": "8.0",
@@ -161,6 +162,14 @@ def test_microsim_smoke_run_without_crossing(tmp_path):
         assert float(row["min_eig_mean"]) > 0.0
         assert row["error"] == ""
     assert "# threshold_low_over_nD = none" in footer
+    # one progress line per grid density on stderr, none of it in the CSV
+    progress = capsys.readouterr().err.splitlines()
+    assert len(progress) == 2
+    for line, rho, row in zip(progress, ("0.3", "0.5"), rows):
+        assert line.startswith("microsim grid ")
+        assert f": {rho} n_D, N = {row['n_atoms']}, " in line
+        assert line.endswith(" s elapsed")
+    assert "elapsed" not in (out / "microsim.csv").read_text()
 
 
 def test_microsim_csv_is_deterministic_and_seed_sensitive(tmp_path):
@@ -179,11 +188,18 @@ def test_microsim_csv_is_deterministic_and_seed_sensitive(tmp_path):
     assert body0 == (outs[1] / "microsim.csv").read_bytes()
     assert body0 != (outs[2] / "microsim.csv").read_bytes()
     assert "seed = 99" in (outs[2] / "manifest.txt").read_text()
-    # manifests agree line for line except the wall-time entry
+    # manifests agree line for line except the timings
     m0 = (outs[0] / "manifest.txt").read_text().splitlines()
     m1 = (outs[1] / "manifest.txt").read_text().splitlines()
     diff = [a for a, b in zip(m0, m1) if a != b]
-    assert all(line.startswith("wall_time_s") for line in diff)
+    assert all(line.startswith(("wall_time_s", "phase_s.")) for line in diff)
+    phases = [line.split(" = ") for line in m0 if line.startswith("phase_s.")]
+    assert [key for key, _ in phases] == ["phase_s.sample", "phase_s.assemble",
+                                          "phase_s.eig"]
+    for _, value in phases:
+        seconds, note = value.split("  # ")
+        assert float(seconds) >= 0.0
+        assert note == "excluded from determinism"
 
 
 def test_microsim_eigenvalues_do_not_depend_on_the_blas_thread_count(tmp_path):

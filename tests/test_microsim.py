@@ -12,8 +12,9 @@ from conftest import ELL, EPS0, HBAR, ND_PER_ELL3, OMEGA_SYNTH, synthetic_specie
 from depolgas.constants import CODATA, dicke_density
 from depolgas.errors import (ConfigError, InfeasiblePackingError,
                              ScaleSeparationError)
-from depolgas.kernels import GAUSSIAN, CutoffProfile
+from depolgas.kernels import GAUSSIAN, LORENTZIAN, CutoffProfile, contact_scalars
 from depolgas.meanfield import DispersionInput, branch_frequencies
+from depolgas import microsim
 from depolgas.microsim import (_MAX_MATRIX_DIM, Configuration, ModeBasis,
                                ScanGeometry, assemble_dynamical_matrix,
                                build_mode_basis, check_scan_separation,
@@ -58,6 +59,76 @@ def _pair_correlation(configs: list[Configuration], n_bins: int, r_max: float):
     shell = 4.0 * math.pi / 3.0 * (edges[1:] ** 3 - edges[:-1] ** 3)
     centers = 0.5 * (edges[1:] + edges[:-1])
     return centers, counts / (norm * shell)
+
+
+def _reference_rsa(density: float, box_length: float, core_diameter: float, seed,
+                   attempts_per_atom: int) -> tuple[np.ndarray, int]:
+    """One trial at a time, each tested against every accepted sphere.
+
+    Oracle for the block sampler, which must accept the same positions bit
+    for bit and stall on the same trial; returns (positions, trials used).
+    """
+    n = int(round(density * box_length**3))
+    packing = n * (math.pi / 6.0) * core_diameter**3 / box_length**3
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    positions = np.empty((n, 3))
+    sigma2 = core_diameter * core_diameter
+    budget = attempts_per_atom * n
+    accepted = 0
+    while accepted < n:
+        if budget <= 0:
+            raise InfeasiblePackingError(
+                f"insertion stalled at {accepted}/{n} spheres "
+                f"(packing fraction {packing:.3f})"
+            )
+        trial = rng.uniform(0.0, box_length, 3)
+        budget -= 1
+        if accepted and sigma2 > 0.0:
+            d = minimum_image(positions[:accepted] - trial, box_length)
+            if np.min(np.einsum("ij,ij->i", d, d)) < sigma2:
+                continue
+        positions[accepted] = trial
+        accepted += 1
+    return positions, attempts_per_atom * n - budget
+
+
+def _reference_matrix(config: Configuration, basis: ModeBasis, species,
+                      profile: CutoffProfile, include_contact: bool = True) -> np.ndarray:
+    """Dynamical matrix from the dense (N, N, 3, 3) pair tensor over all i, j.
+
+    Oracle for the i < j assembly, which must give the same bytes.
+    """
+    pos = config.positions
+    n = config.n_atoms
+    m = basis.n_modes
+    dim = 3 * n + m
+    omega = species.omega
+    matrix = np.zeros((dim, dim))
+    if include_contact and n > 1:
+        diff = minimum_image(pos[:, None, :] - pos[None, :, :], config.box_length)
+        r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        np.fill_diagonal(r, 1.0)  # placeholder, pair blocks zeroed below
+        ut, ul = contact_scalars(profile, r)
+        rhat = diff / r[:, :, None]
+        outer = np.einsum("ija,ijb->ijab", rhat, rhat)
+        blocks = ut[:, :, None, None] * np.eye(3) + (ul - ut)[:, :, None, None] * outer
+        idx = np.arange(n)
+        blocks[idx, idx] = 0.0
+        coupling = 2.0 * species.dipole**2 * omega / (CODATA.hbar * CODATA.epsilon0)
+        matrix[: 3 * n, : 3 * n] = coupling * blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+    diagonal = np.arange(3 * n)
+    matrix[diagonal, diagonal] += omega * omega
+    if m > 0:
+        phase = pos @ basis.k.T
+        wave = np.where(basis.parity[None, :] == 0, np.cos(phase), np.sin(phase))
+        scal = (species.dipole * np.sqrt(omega * basis.Omega)[None, :]
+                / (CODATA.hbar * CODATA.epsilon0)
+                * basis.amplitude[None, :] * wave)
+        cross = scal[:, None, :] * basis.pol.T[None, :, :]
+        matrix[: 3 * n, 3 * n:] = cross.reshape(3 * n, m)
+        matrix[3 * n:, : 3 * n] = matrix[: 3 * n, 3 * n:].T
+        matrix[3 * n:, 3 * n:] = np.diag(basis.Omega**2)
+    return matrix
 
 
 def _mode_field(basis: ModeBasis, positions: np.ndarray) -> np.ndarray:
@@ -128,6 +199,48 @@ def test_sample_configuration_rejects_bad_input():
         sample_configuration(1000.0, 1.0, 0.12, seed=0)  # packing above 0.3
     with pytest.raises(InfeasiblePackingError):
         sample_configuration(2.0, 1.0, 0.6, seed=0)  # core vs minimum image
+
+
+# (box / ell, density / n_D): sparse and dense small boxes, the ladder's
+# largest rung and the next one
+_GEOMETRIES = [(8.0, 0.25), (8.0, 1.75), (12.0, 1.75), (16.0, 1.4)]
+
+
+@pytest.mark.parametrize("sigma_over_ell", [1.15, 0.0])
+@pytest.mark.parametrize("box_over_ell, rho", _GEOMETRIES)
+def test_sample_configuration_matches_the_per_trial_loop(box_over_ell, rho,
+                                                         sigma_over_ell):
+    args = (rho * ND_PER_ELL3 / ELL**3, box_over_ell * ELL, sigma_over_ell * ELL)
+    for replica in range(3):
+        expected, _ = _reference_rsa(*args, seed=(23, replica),
+                                     attempts_per_atom=microsim._ATTEMPTS_PER_ATOM)
+        got = sample_configuration(*args, seed=(23, replica))
+        assert got.positions.tobytes() == expected.tobytes()
+
+
+# 75 spheres of diameter 1.15 in a box of 6 (packing fraction 0.277): with
+# seed 173 the per-trial loop places the 75th sphere on trial 975 = 13 * 75
+_TIGHT = (75 / 6.0**3, 6.0, 1.15)
+_TIGHT_SEED = 173
+
+
+@pytest.mark.parametrize("attempts", [1, 2, 5, 12])
+def test_sampler_stalls_on_the_same_trial_as_the_per_trial_loop(monkeypatch,
+                                                                attempts):
+    with pytest.raises(InfeasiblePackingError, match="insertion stalled") as ref:
+        _reference_rsa(*_TIGHT, seed=_TIGHT_SEED, attempts_per_atom=attempts)
+    monkeypatch.setattr(microsim, "_ATTEMPTS_PER_ATOM", attempts)
+    with pytest.raises(InfeasiblePackingError) as got:
+        sample_configuration(*_TIGHT, seed=_TIGHT_SEED)
+    assert str(got.value) == str(ref.value)
+
+
+def test_sampler_places_the_last_sphere_on_the_last_allowed_trial(monkeypatch):
+    expected, trials = _reference_rsa(*_TIGHT, seed=_TIGHT_SEED, attempts_per_atom=13)
+    assert trials == 13 * 75
+    monkeypatch.setattr(microsim, "_ATTEMPTS_PER_ATOM", 13)
+    got = sample_configuration(*_TIGHT, seed=_TIGHT_SEED)
+    assert got.positions.tobytes() == expected.tobytes()
 
 
 def test_pair_correlation_of_the_sampler():
@@ -276,6 +389,33 @@ def test_dynamical_matrix_is_exactly_symmetric():
     mat = assemble_dynamical_matrix(cfg, basis, synthetic_species(), _PROFILE)
     assert mat.shape == (3 * cfg.n_atoms + basis.n_modes,) * 2
     assert np.array_equal(mat, mat.T)
+
+
+@pytest.mark.parametrize("shape", [GAUSSIAN, LORENTZIAN])
+@pytest.mark.parametrize("box_over_ell, rho", _GEOMETRIES)
+def test_dynamical_matrix_matches_the_dense_pair_tensor(box_over_ell, rho, shape):
+    species = synthetic_species()
+    profile = CutoffProfile(ell=ELL, shape=shape)
+    box = box_over_ell * ELL
+    cfg = sample_configuration(rho * ND_PER_ELL3 / ELL**3, box,
+                               species.core_diameter, seed=(29, 0))
+    basis = build_mode_basis(box, 0.75 * box)
+    mat = assemble_dynamical_matrix(cfg, basis, species, profile)
+    assert mat.tobytes() == _reference_matrix(cfg, basis, species, profile).tobytes()
+
+
+@pytest.mark.parametrize("sigma_over_ell, include_contact", [(0.0, True), (1.15, False)])
+def test_dynamical_matrix_matches_the_dense_pair_tensor_without_a_core_or_contact(
+        sigma_over_ell, include_contact):
+    species = synthetic_species()
+    box = 8.0 * ELL
+    cfg = sample_configuration(1.0 * ND_PER_ELL3 / ELL**3, box, sigma_over_ell * ELL,
+                               seed=(29, 1))
+    basis = build_mode_basis(box, 6.0 * ELL)
+    mat = assemble_dynamical_matrix(cfg, basis, species, _PROFILE,
+                                    include_contact=include_contact)
+    expected = _reference_matrix(cfg, basis, species, _PROFILE, include_contact)
+    assert mat.tobytes() == expected.tobytes()
 
 
 def test_dynamical_matrix_without_contact_is_block_diagonal_plus_coupling():
@@ -488,7 +628,7 @@ def _smoke_scan(master_seed: int = 7, densities=(0.25, 0.5, 1.0)):
                           bisect_steps=6, min_ell_over_core=0.8), n_dicke
 
 
-def test_stability_scan_brackets_a_threshold():
+def test_stability_scan_brackets_a_threshold(capsys):
     report, n_dicke = _smoke_scan()
     assert np.all(np.diff(report.min_eig_mean) < 0.0)
     assert report.min_eig_mean[0] > 0.0
@@ -503,6 +643,12 @@ def test_stability_scan_brackets_a_threshold():
     assert 0.55 < lo < hi < 0.85
     assert hi - lo <= (1.0 - 0.5) / 2**6 + 1e-12
     assert len(report.probes) == 6
+    progress = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in progress] == (
+        [f"microsim grid {i}/3" for i in (1, 2, 3)]
+        + [f"microsim probe {i}/6" for i in range(1, 7)])
+    assert set(report.phase_s) == {"sample", "assemble", "eig"}
+    assert all(seconds > 0.0 for seconds in report.phase_s.values())
 
 
 def test_stability_scan_is_deterministic_in_the_master_seed():
