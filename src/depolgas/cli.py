@@ -6,7 +6,8 @@ artifacts: ``<command>.csv``, ``resolved_config.txt`` and ``manifest.txt``.
 CSV bodies are deterministic for a fixed config and seed on one machine,
 numpy/scipy build and BLAS thread count; the manifest additionally records
 the BLAS thread variables and wall time, which is excluded from the
-determinism contract; ``microsim`` adds its per-phase timings there.
+determinism contract; ``microsim`` adds its bisection probes and its
+per-phase timings there.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence,
 4 infeasible sampling.
@@ -30,9 +31,8 @@ from . import __version__
 from .config import (RunConfig, check_lengths_for_meanfield, load_config,
                      resolved_lines, FORMAT_VERSION)
 from .constants import dicke_density
-from .errors import (BracketingError, ConfigError, DepolgasError,
-                     EigensolverConvergenceError, InfeasiblePackingError,
-                     NoCriticalDensityError, QuadratureConvergenceError)
+from .errors import (ConfigError, DepolgasError, InfeasiblePackingError,
+                     NoCriticalDensityError)
 from .kernels import gamma_peak, gamma_r, kernel_k, kernel_u
 from .meanfield import (DispersionInput, branch_frequencies,
                         critical_ratio_bisection, critical_ratio_from_overlap,
@@ -61,16 +61,23 @@ def _fmt(value, precision: int) -> str:
     return format(float(value), f".{precision}g")
 
 
+def _exit_code(exc: DepolgasError) -> int:
+    """The exit code of a package error, for a whole run and for one row."""
+    if isinstance(exc, ConfigError):
+        return _EXIT_CONFIG
+    if isinstance(exc, InfeasiblePackingError):
+        return _EXIT_SAMPLING
+    return _EXIT_NUMERICAL
+
+
 class _RowErrors:
     """Tracks the worst row-level failure for the final exit code."""
 
     def __init__(self):
         self.exit_code = _EXIT_OK
 
-    def classify(self, exc: Exception) -> str:
-        code = (_EXIT_SAMPLING if isinstance(exc, InfeasiblePackingError)
-                else _EXIT_NUMERICAL)
-        self.exit_code = max(self.exit_code, code)
+    def classify(self, exc: DepolgasError) -> str:
+        self.exit_code = max(self.exit_code, _exit_code(exc))
         return str(exc)
 
 
@@ -116,7 +123,7 @@ def _write_outputs(out_dir: Path, command: str, output: _Output, cfg: RunConfig,
                     f"scipy_version = {scipy.__version__}",
                     f"python_version = {sys.version.split()[0]}",
                     f"blas_threads = {blas_threads}",
-                    f"seed = {seed if seed is not None else ''}"]
+                    f"seed = {seed}"]
         manifest += [f"config.{line}" for line in resolved_lines(cfg)]
         manifest += [f"csv_sha256 = {hashlib.sha256(body.encode()).hexdigest()}",
                      *output.manifest,
@@ -225,11 +232,10 @@ def _cmd_microsim(cfg: RunConfig, args, errors: _RowErrors):
     geometry = ScanGeometry(ell=profile.ell,
                             box_over_ell=cfg.values["microsim.box_over_ell"],
                             lambda_min_over_ell=cfg.values["microsim.lambda_min_over_ell"])
-    seed = args.seed if args.seed is not None else cfg.values["microsim.seed"]
     ratios = cfg.values["microsim.density_ratios"]
     report = stability_scan(
         [r * n_dicke for r in ratios], species, profile, geometry,
-        replicas=cfg.values["microsim.replicas"], master_seed=seed,
+        replicas=cfg.values["microsim.replicas"], master_seed=args.seed,
         bisect_steps=cfg.values["microsim.bisect_steps"],
         include_contact=cfg.values["microsim.include_contact"],
         min_ell_over_core=cfg.values["validation.min_ell_over_core"],
@@ -252,9 +258,12 @@ def _cmd_microsim(cfg: RunConfig, args, errors: _RowErrors):
     footer.append(f"# n_D_per_m3 = {_fmt(n_dicke, p)}")
     header = ["density_over_nD", "n_per_m3", "n_atoms", "min_eig_mean",
               "min_eig_std", "unstable_fraction", "error"]
+    # the bisection probes in the order they ran: density over n_D, mean
+    probes = tuple(f"probe.{k} = {_fmt(density / n_dicke, p)} {_fmt(mean, p)}"
+                   for k, (density, mean) in enumerate(report.probes, 1))
     timings = tuple(f"phase_s.{phase} = {seconds:.3f}  # excluded from determinism"
                     for phase, seconds in report.phase_s.items())
-    return _Output(header, rows, footer, timings)
+    return _Output(header, rows, footer, probes + timings)
 
 
 _COMMANDS = {
@@ -291,20 +300,13 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed cannot be negative, got {args.seed}")
         cfg = load_config(args.config)
+        if args.seed is None:
+            args.seed = cfg.values["microsim.seed"]
         output = _COMMANDS[args.command](cfg, args, errors)
-        _write_outputs(Path(args.out), args.command, output, cfg,
-                       args.seed if args.seed is not None
-                       else cfg.values["microsim.seed"], started)
-    except ConfigError as exc:
+        _write_outputs(Path(args.out), args.command, output, cfg, args.seed, started)
+    except DepolgasError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except InfeasiblePackingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_SAMPLING
-    except (QuadratureConvergenceError, BracketingError,
-            EigensolverConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
+        return _exit_code(exc)
     return errors.exit_code
 
 

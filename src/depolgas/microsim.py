@@ -4,7 +4,8 @@ A periodic cube of side L holds N = round(n L^3) hard spheres (random
 sequential insertion, minimum-image convention) and a basis of transverse
 standing-wave modes commensurate with the box.  Linearizing the coupled
 oscillator equations and rescaling atom coordinates by sqrt(omega) and mode
-amplitudes by sqrt(Omega_nu) yields one real symmetric dynamical matrix
+amplitudes by sqrt(Omega_nu) yields one real symmetric dynamical matrix,
+held as its atom block, its coupling block g and its mode diagonal Omega^2
 
     [ omega^2 I + (2 d^2 omega / hbar eps0) u(x_ij)   g_{j,nu}          ]
     [ g_{j,nu}^T                                      Omega_nu^2 delta  ]
@@ -229,20 +230,23 @@ def build_mode_basis(box_length: float, lambda_min: float,
 def assemble_dynamical_matrix(config: Configuration, basis: ModeBasis,
                               species: AtomSpecies, profile: CutoffProfile,
                               constants: PhysicalConstants = CODATA,
-                              include_contact: bool = True) -> np.ndarray:
-    """Symmetrized dynamical matrix of dimension 3 N + M (values in (rad/s)^2)."""
+                              include_contact: bool = True
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks (a, b, d) of the dynamical matrix [[a, b], [b^T, diag(d)]].
+
+    ``a`` is the 3N x 3N atom block, ``b`` the 3N x M atom-mode coupling and
+    ``d`` = Omega^2 the diagonal of the mode block (values in (rad/s)^2).
+    """
     pos = config.positions
     n = config.n_atoms
-    m = basis.n_modes
-    dim = 3 * n + m
     omega = species.omega
-    matrix = np.zeros((dim, dim))
+    a = np.zeros((3 * n, 3 * n))
 
     # atom-atom: omega^2 on the diagonal plus the contact kernel on pairs.
     # Minimum-image differences are exactly antisymmetric, so the i < j
-    # pairs give every block; each of the 6 unique (a, b) components goes
+    # pairs give every block; each of the 6 unique (i, j) components goes
     # through one symmetric (n, n) buffer into the strided view of its rows
-    # a::3 and columns b::3
+    # i::3 and columns j::3
     if include_contact and n > 1:
         iu, ju = np.triu_indices(n, 1)
         diff = minimum_image(np.take(pos, iu, axis=0) - np.take(pos, ju, axis=0),
@@ -255,55 +259,46 @@ def assemble_dynamical_matrix(config: Configuration, basis: ModeBasis,
         buffer = np.zeros((n, n))
         flat = buffer.reshape(-1)
         upper, lower = iu * n + ju, ju * n + iu
-        for a in range(3):
-            for b in range(a, 3):
-                delta = 1.0 if a == b else 0.0
+        for i in range(3):
+            for j in range(i, 3):
+                delta = 1.0 if i == j else 0.0
                 flat[upper] = flat[lower] = coupling * (
-                    ut * delta + dl * (rhat[a] * rhat[b]))
-                matrix[a:3 * n:3, b:3 * n:3] = buffer
-                if a != b:
-                    matrix[b:3 * n:3, a:3 * n:3] = buffer
-    diagonal = np.arange(3 * n)
-    matrix[diagonal, diagonal] += omega * omega
+                    ut * delta + dl * (rhat[i] * rhat[j]))
+                a[i::3, j::3] = buffer
+                if i != j:
+                    a[j::3, i::3] = buffer
+    a[np.diag_indices(3 * n)] += omega * omega
 
     # atom-mode: d sqrt(omega Omega) / (hbar eps0) * f_nu(x_j)
-    if m > 0:
-        phase = pos @ basis.k.T
-        wave = np.where(basis.parity[None, :] == 0, np.cos(phase), np.sin(phase))
-        scal = (species.dipole * np.sqrt(omega * basis.Omega)[None, :]
-                / (constants.hbar * constants.epsilon0)
-                * basis.amplitude[None, :] * wave)          # (N, M)
-        cross = scal[:, None, :] * basis.pol.T[None, :, :]  # (N, 3, M)
-        matrix[: 3 * n, 3 * n:] = cross.reshape(3 * n, m)
-        matrix[3 * n:, : 3 * n] = matrix[: 3 * n, 3 * n:].T
-        matrix[3 * n:, 3 * n:] = np.diag(basis.Omega**2)
-
-    return matrix
+    phase = pos @ basis.k.T
+    wave = np.where(basis.parity[None, :] == 0, np.cos(phase), np.sin(phase))
+    scal = (species.dipole * np.sqrt(omega * basis.Omega)[None, :]
+            / (constants.hbar * constants.epsilon0)
+            * basis.amplitude[None, :] * wave)          # (N, M)
+    b = (scal[:, None, :] * basis.pol.T[None, :, :]).reshape(3 * n, basis.n_modes)
+    return a, b, basis.Omega**2
 
 
-def minimal_eigenvalue(matrix: np.ndarray, n_modes: int) -> float:
-    """Smallest eigenvalue of a dynamical matrix ending in ``n_modes`` mode rows.
+def minimal_eigenvalue(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> float:
+    """Smallest eigenvalue of the dynamical matrix [[a, b], [b^T, diag(d)]].
 
-    The mode block is the diagonal d = Omega^2, some 1e11 times the atom
-    scale omega^2, so a dense solve of the whole matrix resolves the small
-    eigenvalues only to eps * Omega^2.  Eliminating the modes exactly leaves
-    the atom-scale Schur complement S = A - B d^-1 B^T, whose lowest
-    eigenpair (lambda_S, v) Lanczos finds to eps * ||S||.  The eigenvalues of
-    the full matrix below min(d) solve lambda = lambda_min(A - B (d -
-    lambda)^-1 B^T); one first-order step of that secular equation from
-    lambda_S, with x = B^T v, gives lambda to rounding, because the step is
-    of relative size omega^2 / Omega^2.  Raises EigensolverConvergenceError
-    when Lanczos does not converge.
+    Overwrites ``a`` with the Schur complement.  The mode block d = Omega^2
+    is some 1e11 times the atom scale omega^2, so a dense solve of the whole
+    matrix resolves the small eigenvalues only to eps * Omega^2.  Eliminating
+    the modes exactly leaves the atom-scale Schur complement S = a - b d^-1
+    b^T, whose lowest eigenpair (lambda_S, v) Lanczos finds to eps * ||S||.
+    The eigenvalues of the full matrix below min(d) solve lambda =
+    lambda_min(a - b (d - lambda)^-1 b^T); one first-order step of that
+    secular equation from lambda_S, with x = b^T v, gives lambda to
+    rounding, because the step is of relative size omega^2 / Omega^2.
+    Raises EigensolverConvergenceError when Lanczos does not converge.
     """
-    n3 = matrix.shape[0] - n_modes
-    a = matrix[:n3, :n3]
-    b = matrix[:n3, n3:]
-    d = np.diag(matrix[n3:, n3:])
-    schur = a - (b / d) @ b.T
+    n3 = a.shape[0]
+    a -= (b / d) @ b.T
     # Lanczos time is all matvecs: a symmetric one reads half of the matrix,
-    # and schur.T is the Fortran-ordered view BLAS takes without a copy
-    op = LinearOperator(schur.shape, dtype=schur.dtype,
-                        matvec=lambda x: blas.dsymv(1.0, schur.T, x))
+    # and a.T is the Fortran-ordered view BLAS takes without a copy
+    op = LinearOperator(a.shape, dtype=a.dtype,
+                        matvec=lambda x: blas.dsymv(1.0, a.T, x))
     # a fixed start vector keeps the solve, and so the CSV, deterministic
     v0 = np.random.default_rng(0).standard_normal(n3)
     try:
@@ -387,10 +382,10 @@ def _replica_eigs(density: float, geometry: ScanGeometry, basis: ModeBasis,
                                    species.core_diameter,
                                    seed=seed_block + (j,))
         t1 = time.perf_counter()
-        mat = assemble_dynamical_matrix(cfg, basis, species, profile, constants,
-                                        include_contact=include_contact)
+        a, b, d = assemble_dynamical_matrix(cfg, basis, species, profile, constants,
+                                            include_contact=include_contact)
         t2 = time.perf_counter()
-        eigs[j] = minimal_eigenvalue(mat, basis.n_modes)
+        eigs[j] = minimal_eigenvalue(a, b, d)
         t3 = time.perf_counter()
         phase["sample"] += t1 - t0
         phase["assemble"] += t2 - t1

@@ -12,8 +12,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import depolgas
 from conftest import ELL, ND_PER_ELL3, synthetic_species
-from depolgas import microsim
+from depolgas import cli, microsim
 from depolgas.cli import main
+from depolgas.errors import QuadratureConvergenceError
 
 _BISECTION_COLUMN = "bisection_n_c_over_nD"
 
@@ -81,6 +82,29 @@ def test_kernel_check_workers_do_not_change_output(tmp_path):
                  "--workers", "4"]) == 0
     assert (out1 / "kernel-check.csv").read_bytes() == \
         (out4 / "kernel-check.csv").read_bytes()
+
+
+def test_row_error_fills_its_row_and_sets_the_numerical_exit_code(tmp_path,
+                                                                  monkeypatch):
+    cfg = _write_config(tmp_path, _base_config(
+        **{"kernel_check.r_over_ell": "0.5,1.0,2.0"}))
+    assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    expected, _ = _read_rows(tmp_path / "ok", "kernel-check")
+    kernel_k = cli.kernel_k
+
+    def fails_at_one_ell(profile, rvec, route="real"):
+        if math.isclose(math.hypot(*rvec), ELL):
+            raise QuadratureConvergenceError("no convergence at r = ell")
+        return kernel_k(profile, rvec, route=route)
+
+    monkeypatch.setattr(cli, "kernel_k", fails_at_one_ell)
+    out = tmp_path / "out"
+    assert main(["kernel-check", "--config", cfg, "--out", str(out)]) == 3
+    rows, _ = _read_rows(out, "kernel-check")
+    assert [row["r_over_ell"] for row in rows] == ["0.5", "1", "2"]
+    assert rows[1]["error"] == "no convergence at r = ell"
+    assert rows[1]["trK"] == rows[1]["route_disagreement"] == ""
+    assert [rows[0], rows[2]] == [expected[0], expected[2]]
 
 
 def test_shift_outputs_linear_shift(tmp_path):
@@ -200,6 +224,36 @@ def test_microsim_csv_is_deterministic_and_seed_sensitive(tmp_path):
         seconds, note = value.split("  # ")
         assert float(seconds) >= 0.0
         assert note == "excluded from determinism"
+
+
+def test_microsim_manifest_records_the_bisection_probes(tmp_path):
+    cfg = _write_config(tmp_path, _base_config(
+        **{"microsim.box_over_ell": "8.0",
+           "microsim.lambda_min_over_ell": "6.0",
+           "microsim.density_ratios": "0.25,0.5,1.0",
+           "microsim.replicas": "2",
+           "microsim.bisect_steps": "4"}))
+    probes = []
+    for name in ("a", "b"):
+        assert main(["microsim", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        probes.append([line for line in
+                       (tmp_path / name / "manifest.txt").read_text().splitlines()
+                       if line.startswith("probe.")])
+    assert probes[0] == probes[1]
+    assert [line.split(" = ")[0] for line in probes[0]] == [
+        f"probe.{k}" for k in (1, 2, 3, 4)]
+    # each probe halves the bracket it was taken in, on the side of its sign
+    rows, footer = _read_rows(tmp_path / "a", "microsim")
+    means = [float(row["min_eig_mean"]) for row in rows]
+    assert means[1] > 0.0 >= means[2]
+    lo, hi = 0.5, 1.0
+    for line in probes[0]:
+        density, mean = map(float, line.split(" = ")[1].split())
+        assert density == pytest.approx(0.5 * (lo + hi), rel=1e-12)
+        lo, hi = (lo, density) if mean <= 0.0 else (density, hi)
+    assert f"# threshold_low_over_nD = {lo:.17g}" in footer
+    assert f"# threshold_high_over_nD = {hi:.17g}" in footer
+    assert "probe" not in (tmp_path / "a" / "microsim.csv").read_text()
 
 
 def test_microsim_eigenvalues_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, linalg
+from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import erf, spherical_jn
 
 from conftest import ELL, EPS0, HBAR, ND_PER_ELL3, OMEGA_SYNTH, synthetic_species
@@ -94,9 +95,9 @@ def _reference_rsa(density: float, box_length: float, core_diameter: float, seed
 
 def _reference_matrix(config: Configuration, basis: ModeBasis, species,
                       profile: CutoffProfile, include_contact: bool = True) -> np.ndarray:
-    """Dynamical matrix from the dense (N, N, 3, 3) pair tensor over all i, j.
+    """Dense (3N+M)^2 dynamical matrix from the (N, N, 3, 3) pair tensor.
 
-    Oracle for the i < j assembly, which must give the same bytes.
+    Oracle for the i < j block assembly, whose blocks must give the same bytes.
     """
     pos = config.positions
     n = config.n_atoms
@@ -129,6 +130,36 @@ def _reference_matrix(config: Configuration, basis: ModeBasis, species,
         matrix[3 * n:, : 3 * n] = matrix[: 3 * n, 3 * n:].T
         matrix[3 * n:, 3 * n:] = np.diag(basis.Omega**2)
     return matrix
+
+
+def _blocks(matrix: np.ndarray, n_modes: int):
+    """(a, b, d) cut from a dense dynamical matrix with ``n_modes`` mode rows."""
+    n3 = matrix.shape[0] - n_modes
+    return matrix[:n3, :n3], matrix[:n3, n3:], np.diag(matrix[n3:, n3:])
+
+
+def _reference_minimal_eigenvalue(matrix: np.ndarray, n_modes: int) -> float:
+    """The mode elimination on a dense matrix, re-slicing its blocks.
+
+    Oracle for the block solver, which must return the same float.
+    """
+    a, b, d = _blocks(matrix, n_modes)
+    schur = a - (b / d) @ b.T
+    op = LinearOperator(schur.shape, dtype=schur.dtype,
+                        matvec=lambda x: linalg.blas.dsymv(1.0, schur.T, x))
+    v0 = np.random.default_rng(0).standard_normal(schur.shape[0])
+    vals, vecs = eigsh(op, k=1, which="SA", tol=0, v0=v0)
+    lam = float(vals[0])
+    x = b.T @ vecs[:, 0]
+    return lam - float(np.sum(x * x * lam / (d * (d - lam))))
+
+
+def _assert_matches_the_dense_matrix(blocks, matrix: np.ndarray, n_modes: int):
+    """Blocks byte for byte, then the solver's float against the dense route."""
+    for got, expected in zip(blocks, _blocks(matrix, n_modes), strict=True):
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    assert minimal_eigenvalue(*blocks) == _reference_minimal_eigenvalue(matrix, n_modes)
 
 
 def _mode_field(basis: ModeBasis, positions: np.ndarray) -> np.ndarray:
@@ -336,11 +367,11 @@ def test_mode_field_matches_direct_evaluation():
 
     cfg = Configuration(box_length=box, core_diameter=species.core_diameter,
                         positions=pos)
-    mat = assemble_dynamical_matrix(cfg, basis, species, _PROFILE)
+    _, b, _ = assemble_dynamical_matrix(cfg, basis, species, _PROFILE)
     coupling = (species.dipole * np.sqrt(species.omega * basis.Omega)
                 / (CODATA.hbar * CODATA.epsilon0))
     expected = coupling[:, None, None] * field               # (M, P, 3)
-    cross = mat[:15, 15:].reshape(5, 3, basis.n_modes)       # (P, 3, M)
+    cross = b.reshape(5, 3, basis.n_modes)                   # (P, 3, M)
     assert np.allclose(cross, expected.transpose(1, 2, 0), rtol=1e-13, atol=0.0)
 
 
@@ -386,9 +417,11 @@ def test_dynamical_matrix_is_exactly_symmetric():
     density = 1.0 * ND_PER_ELL3 / ELL**3
     cfg = sample_configuration(density, 8.0 * ELL, 1.15 * ELL, seed=3)
     basis = build_mode_basis(8.0 * ELL, 6.0 * ELL)
-    mat = assemble_dynamical_matrix(cfg, basis, synthetic_species(), _PROFILE)
-    assert mat.shape == (3 * cfg.n_atoms + basis.n_modes,) * 2
-    assert np.array_equal(mat, mat.T)
+    a, b, d = assemble_dynamical_matrix(cfg, basis, synthetic_species(), _PROFILE)
+    assert a.shape == (3 * cfg.n_atoms,) * 2
+    assert b.shape == (3 * cfg.n_atoms, basis.n_modes)
+    assert d.shape == (basis.n_modes,)
+    assert np.array_equal(a, a.T)
 
 
 @pytest.mark.parametrize("shape", [GAUSSIAN, LORENTZIAN])
@@ -400,8 +433,9 @@ def test_dynamical_matrix_matches_the_dense_pair_tensor(box_over_ell, rho, shape
     cfg = sample_configuration(rho * ND_PER_ELL3 / ELL**3, box,
                                species.core_diameter, seed=(29, 0))
     basis = build_mode_basis(box, 0.75 * box)
-    mat = assemble_dynamical_matrix(cfg, basis, species, profile)
-    assert mat.tobytes() == _reference_matrix(cfg, basis, species, profile).tobytes()
+    blocks = assemble_dynamical_matrix(cfg, basis, species, profile)
+    expected = _reference_matrix(cfg, basis, species, profile)
+    _assert_matches_the_dense_matrix(blocks, expected, basis.n_modes)
 
 
 @pytest.mark.parametrize("sigma_over_ell, include_contact", [(0.0, True), (1.15, False)])
@@ -412,10 +446,10 @@ def test_dynamical_matrix_matches_the_dense_pair_tensor_without_a_core_or_contac
     cfg = sample_configuration(1.0 * ND_PER_ELL3 / ELL**3, box, sigma_over_ell * ELL,
                                seed=(29, 1))
     basis = build_mode_basis(box, 6.0 * ELL)
-    mat = assemble_dynamical_matrix(cfg, basis, species, _PROFILE,
-                                    include_contact=include_contact)
+    blocks = assemble_dynamical_matrix(cfg, basis, species, _PROFILE,
+                                       include_contact=include_contact)
     expected = _reference_matrix(cfg, basis, species, _PROFILE, include_contact)
-    assert mat.tobytes() == expected.tobytes()
+    _assert_matches_the_dense_matrix(blocks, expected, basis.n_modes)
 
 
 def test_dynamical_matrix_without_contact_is_block_diagonal_plus_coupling():
@@ -423,12 +457,11 @@ def test_dynamical_matrix_without_contact_is_block_diagonal_plus_coupling():
                                1.15 * ELL, seed=9)
     basis = build_mode_basis(8.0 * ELL, 6.0 * ELL)
     species = synthetic_species()
-    mat = assemble_dynamical_matrix(cfg, basis, species, _PROFILE,
-                                    include_contact=False)
-    n3 = 3 * cfg.n_atoms
-    assert np.array_equal(mat[:n3, :n3], species.omega**2 * np.eye(n3))
-    assert np.array_equal(mat[n3:, n3:], np.diag(basis.Omega**2))
-    assert np.any(mat[:n3, n3:] != 0.0)
+    a, b, d = assemble_dynamical_matrix(cfg, basis, species, _PROFILE,
+                                        include_contact=False)
+    assert np.array_equal(a, species.omega**2 * np.eye(3 * cfg.n_atoms))
+    assert np.array_equal(d, basis.Omega**2)
+    assert np.any(b != 0.0)
 
 
 def test_dynamical_matrix_decouples_at_vanishing_dipole():
@@ -440,27 +473,23 @@ def test_dynamical_matrix_decouples_at_vanishing_dipole():
     cfg = sample_configuration(density, 8.0 * ELL, 1.15 * ELL, seed=4)
     basis = build_mode_basis(8.0 * ELL, 6.0 * ELL)
     feeble = dataclasses.replace(synthetic_species(), dipole=1e-45)
-    mat = assemble_dynamical_matrix(cfg, basis, feeble, _PROFILE)
-    n3 = 3 * cfg.n_atoms
-    off_diag = mat[:n3, :n3] - feeble.omega**2 * np.eye(n3)
+    a, b, d = assemble_dynamical_matrix(cfg, basis, feeble, _PROFILE)
+    off_diag = a - feeble.omega**2 * np.eye(3 * cfg.n_atoms)
     assert np.max(np.abs(off_diag)) <= 1e-12 * feeble.omega**2
-    assert np.array_equal(mat[n3:, n3:], np.diag(basis.Omega**2))
+    assert np.array_equal(d, basis.Omega**2)
     halved = dataclasses.replace(feeble, dipole=0.5e-45)
-    mat_half = assemble_dynamical_matrix(cfg, basis, halved, _PROFILE)
-    assert np.array_equal(mat_half[:n3, n3:], 0.5 * mat[:n3, n3:])
-    assert minimal_eigenvalue(mat, basis.n_modes) == pytest.approx(
-        feeble.omega**2, rel=1e-12)
+    _, b_half, _ = assemble_dynamical_matrix(cfg, basis, halved, _PROFILE)
+    assert np.array_equal(b_half, 0.5 * b)
+    assert minimal_eigenvalue(a, b, d) == pytest.approx(feeble.omega**2, rel=1e-12)
 
 
-def _secular_fixed_point(mat: np.ndarray, n_modes: int, steps: int = 4) -> float:
+def _secular_fixed_point(a: np.ndarray, b: np.ndarray, d: np.ndarray,
+                         steps: int = 4) -> float:
     """Dense reference: iterate lambda = lambda_min(A - B (D - lambda)^-1 B^T).
 
     Each step moves lambda by a relative omega^2 / Omega^2 of the previous
     move, so four steps from lambda = 0 reach the fixed point to rounding.
     """
-    n3 = mat.shape[0] - n_modes
-    a, b = mat[:n3, :n3], mat[:n3, n3:]
-    d = np.diag(mat[n3:, n3:])
     lam = 0.0
     for _ in range(steps):
         lam = float(linalg.eigh(a - (b / (d - lam)) @ b.T, eigvals_only=True,
@@ -476,10 +505,10 @@ def test_minimal_eigenvalue_matches_the_secular_fixed_point(rho):
     basis = build_mode_basis(8.0 * ELL, 6.0 * ELL)
     cfg = sample_configuration(rho * ND_PER_ELL3 / ELL**3, 8.0 * ELL,
                                species.core_diameter, seed=(17, 0))
-    mat = assemble_dynamical_matrix(cfg, basis, species, _PROFILE)
-    reference = _secular_fixed_point(mat, basis.n_modes)
-    assert minimal_eigenvalue(mat, basis.n_modes) == pytest.approx(reference,
-                                                                   rel=1e-12)
+    a, b, d = assemble_dynamical_matrix(cfg, basis, species, _PROFILE)
+    reference = _secular_fixed_point(a, b, d)  # before a is overwritten
+    assert minimal_eigenvalue(a, b, d) == pytest.approx(reference, rel=1e-12)
+
 
 
 def test_dynamical_matrix_dimension_guard():
@@ -510,8 +539,8 @@ def test_single_atom_matches_two_level_mean_field():
     cfg = Configuration(box_length=box, core_diameter=species.core_diameter,
                         positions=x0[None, :])
 
-    mat = assemble_dynamical_matrix(cfg, single, species, _PROFILE)
-    measured = minimal_eigenvalue(mat, single.n_modes)
+    measured = minimal_eigenvalue(*assemble_dynamical_matrix(cfg, single, species,
+                                                             _PROFILE))
 
     c0 = math.cos(float(x0 @ kvec))
     rho_eff = (2.0 * c0 * c0 / box**3) / dicke_density(species)
@@ -539,8 +568,8 @@ def test_dilute_lattice_matches_mean_field_density():
 
     cfg = Configuration(box_length=box, core_diameter=species.core_diameter,
                         positions=positions)
-    mat = assemble_dynamical_matrix(cfg, basis, species, profile)
-    measured = minimal_eigenvalue(mat, basis.n_modes)
+    measured = minimal_eigenvalue(*assemble_dynamical_matrix(cfg, basis, species,
+                                                             profile))
 
     pair = branch_frequencies(DispersionInput(
         omega=species.omega, Omega=float(basis.Omega[0]), density_ratio=0.5))
@@ -568,8 +597,8 @@ def _measured_shell_threshold(m_norm2: int, grid: np.ndarray, seed: int) -> floa
         for j in range(6):
             cfg = sample_configuration(rho * n_dicke, box, species.core_diameter,
                                        seed=(seed, i, j))
-            mat = assemble_dynamical_matrix(cfg, basis, species, _PROFILE)
-            eigs.append(minimal_eigenvalue(mat, basis.n_modes))
+            eigs.append(minimal_eigenvalue(
+                *assemble_dynamical_matrix(cfg, basis, species, _PROFILE)))
         means.append(np.mean(eigs))
     means = np.asarray(means)
     sign_change = np.flatnonzero((means[:-1] > 0.0) & (means[1:] <= 0.0))
