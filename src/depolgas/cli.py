@@ -7,7 +7,9 @@ CSV bodies are deterministic for a fixed config and seed on one machine,
 numpy/scipy build and BLAS thread count; the manifest additionally records
 the BLAS thread variables and wall time, which is excluded from the
 determinism contract; ``microsim`` adds its bisection probes and its
-per-phase timings there.
+per-phase timings there, and the commands that integrate (all but
+``microsim``) add the worst gated quadrature error and the time spent in
+quadrature.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence,
 4 infeasible sampling.
@@ -16,6 +18,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import contextvars
 import hashlib
 import os
 import sys
@@ -33,7 +36,7 @@ from .config import (RunConfig, check_lengths_for_meanfield, load_config,
 from .constants import dicke_density
 from .errors import (ConfigError, DepolgasError, InfeasiblePackingError,
                      NoCriticalDensityError)
-from .kernels import gamma_peak, gamma_r, kernel_k, kernel_u
+from .kernels import QuadratureLog, gamma_peak, gamma_r, kernel_k, kernel_u
 from .meanfield import (DispersionInput, branch_frequencies,
                         critical_ratio_bisection, critical_ratio_from_overlap,
                         overlap_integral, shift_slope)
@@ -84,8 +87,10 @@ class _RowErrors:
 def _map_rows(fn, items, workers: int):
     if workers <= 1:
         return [fn(item) for item in items]
+    # each row runs in a copy of this context, so it sees the active QuadratureLog
+    contexts = [contextvars.copy_context() for _ in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(lambda ctx, item: ctx.run(fn, item), contexts, items))
 
 
 class _Output(NamedTuple):
@@ -95,6 +100,14 @@ class _Output(NamedTuple):
     rows: list[list]
     footer: list[str]
     manifest: tuple[str, ...] = ()
+
+
+def _quadrature_lines(log: QuadratureLog, precision: int) -> tuple[str, ...]:
+    """Manifest lines of the quadratures a command ran; none for microsim."""
+    if not log.calls:
+        return ()
+    return (f"quadrature_error_max = {_fmt(log.error_max, precision)}",
+            f"phase_s.quadrature = {log.seconds:.3f}  # excluded from determinism")
 
 
 def _write_outputs(out_dir: Path, command: str, output: _Output, cfg: RunConfig,
@@ -302,7 +315,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is None:
             args.seed = cfg.values["microsim.seed"]
-        output = _COMMANDS[args.command](cfg, args, errors)
+        with QuadratureLog() as quadrature:
+            output = _COMMANDS[args.command](cfg, args, errors)
+        output = output._replace(manifest=output.manifest + _quadrature_lines(
+            quadrature, cfg.values["output.precision"]))
         _write_outputs(Path(args.out), args.command, output, cfg, args.seed, started)
     except DepolgasError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import BracketingError, NoCriticalDensityError, QuadratureConvergenceError
-from .kernels import CutoffProfile, enclosed_fraction, gamma_r
+from .kernels import CutoffProfile, enclosed_fraction, gamma_r, log_quadrature
 
 IDEAL = "ideal"
 HARD_STEP = "hard_step"
@@ -125,7 +126,8 @@ def overlap_integral(g: RadialDistribution, profile: CutoffProfile) -> float:
     The integrand is cut at a finite radius R (past the core, past the
     table, and far into the tail of Gamma); beyond R where g = 1 the exact
     remainder 1 - M(R) is added in closed form.  The quadrature error
-    estimate must stay below 1e-7 of the result.
+    estimate must stay below 1e-7 of the result (of 1 for |J| < 1); the
+    active :class:`~depolgas.kernels.QuadratureLog` records that ratio.
     """
     edge = g._support_edge()
     if edge > profile.ell:
@@ -143,7 +145,9 @@ def overlap_integral(g: RadialDistribution, profile: CutoffProfile) -> float:
     # break at the support edge and, for tables, at every interpolation kink
     knots = tuple(g.table_r) if g.model == TABULATED else (edge,)
     points = [p for p in knots if 0.0 < p < r_cut]
+    started = time.perf_counter()
     val, err = integrate.quad(integrand, 0.0, r_cut, points=points or None, limit=400)
+    log_quadrature(started, err, val, 1.0)
     if err > _OVERLAP_TOL * max(1.0, abs(val)):
         raise QuadratureConvergenceError(
             f"overlap quadrature reached error {err:.3e}", achieved=err

@@ -48,6 +48,18 @@ def _read_rows(out_dir, command: str):
     return rows, footer
 
 
+def _quadrature_error(manifest_lines) -> float:
+    """Check both quadrature lines of a manifest; return the gated error."""
+    (error,) = [line for line in manifest_lines if line.startswith("quadrature_error_max")]
+    (timing,) = [line for line in manifest_lines if line.startswith("phase_s.")]
+    key, value = timing.split(" = ")
+    seconds, note = value.split("  # ")
+    assert key == "phase_s.quadrature"
+    assert float(seconds) >= 0.0
+    assert note == "excluded from determinism"
+    return float(error.split(" = ")[1])
+
+
 def test_kernel_check_runs_and_manifests_are_consistent(tmp_path, monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -69,7 +81,7 @@ def test_kernel_check_runs_and_manifests_are_consistent(tmp_path, monkeypatch):
     assert "wall_time_s" in manifest
     assert ("blas_threads = OMP_NUM_THREADS=1,OPENBLAS_NUM_THREADS=unset,"
             "MKL_NUM_THREADS=2") in manifest.splitlines()
-    assert "phase_s." not in manifest  # only microsim times phases
+    assert 0.0 < _quadrature_error(manifest.splitlines()) < 1e-7
     assert (out / "resolved_config.txt").exists()
 
 
@@ -82,6 +94,10 @@ def test_kernel_check_workers_do_not_change_output(tmp_path):
                  "--workers", "4"]) == 0
     assert (out1 / "kernel-check.csv").read_bytes() == \
         (out4 / "kernel-check.csv").read_bytes()
+    # rows on worker threads record into the command's quadrature log
+    errors = [[line for line in (out / "manifest.txt").read_text().splitlines()
+               if line.startswith("quadrature_error_max")] for out in (out1, out4)]
+    assert errors[0] == errors[1] and len(errors[0]) == 1
 
 
 def test_row_error_fills_its_row_and_sets_the_numerical_exit_code(tmp_path,
@@ -105,6 +121,23 @@ def test_row_error_fills_its_row_and_sets_the_numerical_exit_code(tmp_path,
     assert rows[1]["error"] == "no convergence at r = ell"
     assert rows[1]["trK"] == rows[1]["route_disagreement"] == ""
     assert [rows[0], rows[2]] == [expected[0], expected[2]]
+
+
+@pytest.mark.parametrize("command", ["kernel-check", "shift", "dispersion", "critical"])
+def test_quadrature_manifest_lines_are_deterministic(tmp_path, command):
+    cfg = _write_config(tmp_path, _base_config(
+        **{"kernel_check.r_over_ell": "0.0,0.3,2.5",
+           "meanfield.density_ratios": "0.5,1.0",
+           "rdf.sigma_m": repr(0.02 * ELL)}))
+    outs = [tmp_path / f"out{i}" for i in range(2)]
+    for out in outs:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    m0, m1 = ((out / "manifest.txt").read_text().splitlines() for out in outs)
+    # manifests agree line for line except the timings
+    diff = [a for a, b in zip(m0, m1) if a != b]
+    assert all(line.startswith(("wall_time_s", "phase_s.")) for line in diff)
+    assert 0.0 < _quadrature_error(m0) < 1e-7
+    assert _quadrature_error(m0) == _quadrature_error(m1)
 
 
 def test_shift_outputs_linear_shift(tmp_path):
@@ -220,6 +253,7 @@ def test_microsim_csv_is_deterministic_and_seed_sensitive(tmp_path):
     phases = [line.split(" = ") for line in m0 if line.startswith("phase_s.")]
     assert [key for key, _ in phases] == ["phase_s.sample", "phase_s.assemble",
                                           "phase_s.eig"]
+    assert not any(line.startswith("quadrature_error_max") for line in m0)
     for _, value in phases:
         seconds, note = value.split("  # ")
         assert float(seconds) >= 0.0

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import contextvars
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import spherical_jn
+from scipy.special._ufuncs import _spherical_jn
 
 from depolgas.kernels import (GAUSSIAN, LORENTZIAN, CutoffProfile,
-                              contact_scalars, enclosed_fraction, gamma_k,
-                              gamma_peak, gamma_r, kernel_k, kernel_u,
-                              radial_scalars)
+                              QuadratureLog, contact_scalars, enclosed_fraction,
+                              gamma_k, gamma_peak, gamma_r, kernel_k, kernel_u,
+                              log_quadrature, radial_scalars)
 
 # frozen oracle: closed-form enclosed fractions at r/ell = 0.5, cross-checked
 # against direct quadrature of 4 pi s^2 Gamma(s) (agreement ~4e-17)
@@ -17,6 +22,24 @@ _M_GAUSS_HALF = 0.011322857824208332
 _M_LOR_HALF = 0.014387677966970713
 
 _DIRECTION = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
+
+# frozen spectral-route (K_T, K_L) at ell = 1, as float.hex, keyed by r / ell
+_SPECTRAL_HEX = {
+    GAUSSIAN: {
+        0.0: ("0x1.ea647f58a4cbep-7", "0x1.ea647f58a4cbep-7"),
+        0.05: ("0x1.ea065fa3b4700p-7", "0x1.ea356e25f239bp-7"),
+        0.7: ("0x1.a6d766b45baadp-7", "0x1.c7e074b0be2a0p-7"),
+        3.1: ("-0x1.28329e7467c1ep-13", "0x1.1cc5351113910p-8"),
+        7.9: ("-0x1.5279f1ad7ee91p-13", "0x1.527bf659ab371p-12"),
+    },
+    LORENTZIAN: {
+        0.0: ("0x1.b2995e7b7b603p-6", "0x1.b2995e7b7b603p-6"),
+        0.05: ("0x1.9acb2da5486fap-6", "0x1.a29f7e2834d71p-6"),
+        0.7: ("0x1.83e435ae838f6p-7", "0x1.038e1d12b3605p-6"),
+        3.1: ("0x1.946baf06c5dc7p-13", "0x1.a353e0937de19p-9"),
+        7.9: ("-0x1.2e8405a01c1f9p-13", "0x1.4d73a0ebaa4a1p-12"),
+    },
+}
 
 
 def _grad_grad_coulomb(rvec) -> np.ndarray:
@@ -108,6 +131,60 @@ def test_kernel_at_origin_is_isotropic_two_thirds_peak(profile):
     for route in ("real", "spectral"):
         k0 = kernel_k(profile, [0.0, 0.0, 0.0], route=route)
         assert np.allclose(k0, expected, rtol=1e-9, atol=0.0)
+
+
+def test_bessel_ufunc_is_bitwise_the_public_spherical_jn():
+    # the spectral integrands call the ufunc directly; z reaches
+    # x0 * u = 2000 * 8 = 1.6e4 at the largest kernel-check radius
+    z = np.concatenate([[0.0, 1e-9, 0.3, 0.999, 1.0, 1.7, 2.0, 2.5, 3.1],
+                        np.geomspace(1e-3, 1.6e4, 4001)])
+    for n in (0, 1, 2):
+        assert np.array_equal(_spherical_jn(n, z), spherical_jn(n, z))
+        for zi in z[::97].tolist():
+            value = _spherical_jn(n, zi)
+            assert type(value) is np.float64
+            assert value == spherical_jn(n, zi)
+
+
+def test_spectral_route_is_frozen(profile):
+    for r, (kt_hex, kl_hex) in _SPECTRAL_HEX[profile.shape].items():
+        kt, kl = radial_scalars(profile, r, route="spectral")
+        assert (float(kt).hex(), float(kl).hex()) == (kt_hex, kl_hex)
+
+
+def test_quadrature_log_records_only_inside_its_block(profile):
+    radial_scalars(profile, 0.7, route="spectral")  # no active log: no effect
+    with QuadratureLog() as log:
+        radial_scalars(profile, 0.7, route="spectral")
+        radial_scalars(profile, 0.7, route="real")
+    assert log.calls >= 2  # the direct p and q quadratures at least
+    assert 0.0 < log.error_max < 1e-7
+    assert log.seconds > 0.0
+    calls = log.calls
+    radial_scalars(profile, 0.7, route="spectral")
+    assert log.calls == calls
+
+
+def test_quadrature_log_keeps_every_update_across_threads():
+    threads, per_thread = 8, 2000
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with QuadratureLog() as log:
+            def work(k):
+                for i in range(per_thread):
+                    log_quadrature(0.0, float(k * per_thread + i), 1.0, 1.0)
+            pool = [threading.Thread(target=contextvars.copy_context().run,
+                                     args=(work, k)) for k in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in pool)
+    finally:
+        sys.setswitchinterval(previous)
+    assert log.calls == threads * per_thread
+    assert log.error_max == threads * per_thread - 1
 
 
 def test_trace_identity_real_route(profile):
