@@ -18,12 +18,10 @@ Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
-import contextvars
 import hashlib
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -82,15 +80,6 @@ class _RowErrors:
     def classify(self, exc: DepolgasError) -> str:
         self.exit_code = max(self.exit_code, _exit_code(exc))
         return str(exc)
-
-
-def _map_rows(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    # each row runs in a copy of this context, so it sees the active QuadratureLog
-    contexts = [contextvars.copy_context() for _ in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda ctx, item: ctx.run(fn, item), contexts, items))
 
 
 class _Output(NamedTuple):
@@ -170,7 +159,7 @@ def _cmd_kernel_check(cfg: RunConfig, args, errors: _RowErrors):
         except DepolgasError as exc:
             return [r_over_ell, "", "", "", "", "", errors.classify(exc)]
 
-    rows = _map_rows(one, cfg.values["kernel_check.r_over_ell"], args.workers)
+    rows = [one(r) for r in cfg.values["kernel_check.r_over_ell"]]
     header = ["r_over_ell", "Gamma", "trK", "2Gamma", "trU",
               "route_disagreement", "error"]
     return _Output(header, rows, [])
@@ -196,12 +185,8 @@ def _cmd_dispersion(cfg: RunConfig, args, errors: _RowErrors):
     _, g, j = _shift_context(cfg)
     slope = shift_slope(j, g.contact_value)
     omega = cfg.values["species.omega_rad_per_s"]
-    tasks = [(big_omega, rho)
-             for big_omega in cfg.omega_list()
-             for rho in cfg.values["meanfield.density_ratios"]]
 
-    def one(task):
-        big_omega, rho = task
+    def one(big_omega: float, rho: float):
         try:
             varsigma = slope * rho
             pair = branch_frequencies(DispersionInput(
@@ -212,7 +197,9 @@ def _cmd_dispersion(cfg: RunConfig, args, errors: _RowErrors):
         except DepolgasError as exc:
             return [big_omega, rho, "", "", "", "", "", "", errors.classify(exc)]
 
-    rows = _map_rows(one, tasks, args.workers)
+    rows = [one(big_omega, rho)
+            for big_omega in cfg.omega_list()
+            for rho in cfg.values["meanfield.density_ratios"]]
     header = ["Omega_rad_per_s", "density_ratio", "varsigma",
               "s2_plus_over_wW", "s2_minus_over_wW",
               "s2_plus_rad2_per_s2", "s2_minus_rad2_per_s2", "stable", "error"]
@@ -299,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to key=value config file")
         p.add_argument("--out", required=True, help="output directory (create-only files)")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker threads for independent sweep rows")
+                       help="accepted and ignored, so existing command lines keep "
+                            "working; every command runs its rows serially")
         p.add_argument("--seed", type=int, default=None,
                        help="override microsim.seed from the config")
     return parser

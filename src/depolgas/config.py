@@ -34,7 +34,8 @@ def _default_kernel_grid() -> str:
     return ",".join(f"{0.4 * i:.1f}" for i in range(21))  # 0.0 .. 8.0
 
 
-# key -> (type, default); default None means required, "" means optional-empty
+# key -> (type, default); default None means required, "" means optional,
+# and only an optional key may be given an empty value
 _SCHEMA: dict[str, tuple[str, str | None]] = {
     "species.name": ("str", None),
     "species.omega_rad_per_s": ("float", None),
@@ -105,7 +106,10 @@ def _coerce(key: str, kind: str, raw: str):
                 return False
             raise ValueError(raw)
         if kind == "floatlist":
-            return [_finite(key, tok) for tok in raw.split(",") if tok.strip() != ""]
+            values = [_finite(key, tok) for tok in raw.split(",") if tok.strip() != ""]
+            if not values:
+                raise ValueError(raw)
+            return values
         return raw
     except ValueError:
         raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind}") from None
@@ -193,6 +197,8 @@ def load_config(path: str | Path, env: dict | None = None) -> RunConfig:
         if source is None:
             raise ConfigError(f"missing required config key {key}")
         if source == "":
+            if default != "":
+                raise ConfigError(f"config key {key} cannot be empty")
             # optional keys keep an empty sentinel ("" or [])
             values[key] = [] if kind == "floatlist" else ""
             resolved[key] = ""

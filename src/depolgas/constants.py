@@ -52,11 +52,11 @@ class AtomSpecies:
             raise ValueError("species core_diameter cannot be negative")
 
 
-def dicke_density(species: AtomSpecies, constants: PhysicalConstants = CODATA) -> float:
+def dicke_density(species: AtomSpecies) -> float:
     """Characteristic density at which a bare two-oscillator gas destabilizes.
 
     n_D = hbar * omega * epsilon0 / (2 d^2).  Scales linearly in omega and
     as the inverse square of the dipole moment.
     """
-    return constants.hbar * species.omega * constants.epsilon0 / (2.0 * species.dipole**2)
+    return CODATA.hbar * species.omega * CODATA.epsilon0 / (2.0 * species.dipole**2)
 

@@ -21,10 +21,6 @@ class ScaleSeparationError(ConfigError):
 class QuadratureConvergenceError(DepolgasError):
     """A quadrature failed to reach the requested tolerance."""
 
-    def __init__(self, message: str, achieved: float | None = None):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class BracketingError(DepolgasError):
     """Root bracketing or bisection failed to converge."""

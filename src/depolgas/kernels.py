@@ -36,7 +36,6 @@ contribution symbolically; u(0) is never evaluated).
 from __future__ import annotations
 
 import math
-import threading
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -138,15 +137,13 @@ class QuadratureLog:
     context.  Every spectral kernel quadrature and every mean-field overlap
     quadrature run there adds its seconds and err / max(|value|, scale), the
     ratio its convergence gate bounds by 1e-7; a failing quadrature is added
-    before it raises.  Rows on worker threads may share one log, so
-    additions take a lock.
+    before it raises.
     """
 
     def __init__(self):
         self.calls = 0
         self.seconds = 0.0
         self.error_max = 0.0
-        self._lock = threading.Lock()
         self._token = None
 
     def __enter__(self) -> "QuadratureLog":
@@ -157,10 +154,9 @@ class QuadratureLog:
         _ACTIVE_LOG.reset(self._token)
 
     def add(self, seconds: float, error: float) -> None:
-        with self._lock:
-            self.calls += 1
-            self.seconds += seconds
-            self.error_max = max(self.error_max, error)
+        self.calls += 1
+        self.seconds += seconds
+        self.error_max = max(self.error_max, error)
 
 
 _ACTIVE_LOG: ContextVar[QuadratureLog | None] = ContextVar("quadrature_log", default=None)
@@ -173,7 +169,7 @@ def log_quadrature(started: float, err: float, val: float, scale: float) -> None
         log.add(time.perf_counter() - started, err / max(abs(val), scale))
 
 
-def _quad(f, a, b, scale: float = 1.0, **kw) -> float:
+def _quad(f, a, b, scale: float, **kw) -> float:
     started = time.perf_counter()
     val, err = integrate.quad(f, a, b, limit=_QUAD_LIMIT, **kw)
     log_quadrature(started, err, val, scale)
@@ -181,8 +177,7 @@ def _quad(f, a, b, scale: float = 1.0, **kw) -> float:
     # so convergence is judged against the caller-supplied reference scale
     if err > 1e-7 * max(abs(val), scale):
         raise QuadratureConvergenceError(
-            f"kernel quadrature reached error {err:.3e} on value {val:.3e}", achieved=err
-        )
+            f"kernel quadrature reached error {err:.3e} on value {val:.3e}")
     return val
 
 

@@ -37,6 +37,9 @@ TABULATED = "tabulated"
 
 _TABLE_END_TOL = 1e-3
 _OVERLAP_TOL = 1e-7
+# critical_ratio_bisection's relative bracket width, iteration cap and the
+# ratio past which an instability lies outside model validity
+_BISECT_REL_TOL, _BISECT_MAX_ITER, _BISECT_MAX_RATIO = 1e-9, 200, 1e6
 
 
 @dataclass(frozen=True)
@@ -149,9 +152,7 @@ def overlap_integral(g: RadialDistribution, profile: CutoffProfile) -> float:
     val, err = integrate.quad(integrand, 0.0, r_cut, points=points or None, limit=400)
     log_quadrature(started, err, val, 1.0)
     if err > _OVERLAP_TOL * max(1.0, abs(val)):
-        raise QuadratureConvergenceError(
-            f"overlap quadrature reached error {err:.3e}", achieved=err
-        )
+        raise QuadratureConvergenceError(f"overlap quadrature reached error {err:.3e}")
     tail = 1.0 - float(enclosed_fraction(profile, r_cut))
     return val + tail
 
@@ -291,13 +292,12 @@ def critical_density(g: RadialDistribution, profile: CutoffProfile) -> float:
 
 
 def critical_ratio_bisection(overlap: float, contact_value: float, omega: float,
-                             Omega: float, rel_tol: float = 1e-9,
-                             max_iter: int = 200, max_ratio: float = 1e6) -> float:
+                             Omega: float) -> float:
     """Independent route to rho_c: bisection on the sign of s2_plus(rho).
 
     The branch root with the self-consistent shift varsigma(rho) crosses
     zero at the critical ratio; this never uses the closed form above.
-    Ratios beyond max_ratio are treated as outside model validity.
+    Ratios beyond 1e6 are treated as outside model validity.
     """
     slope = shift_slope(overlap, contact_value)
 
@@ -309,19 +309,19 @@ def critical_ratio_bisection(overlap: float, contact_value: float, omega: float,
     lo, hi = 0.0, 1.0
     while s2_plus(hi) <= 0.0:
         lo, hi = hi, 2.0 * hi
-        if hi > max_ratio:
+        if hi > _BISECT_MAX_RATIO:
             raise NoCriticalDensityError(
                 "no instability at any density within model validity "
-                f"(no sign change below {max_ratio:g} times the reference density)"
+                f"(no sign change below {_BISECT_MAX_RATIO:g} times the reference density)"
             )
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if s2_plus(mid) > 0.0:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= _BISECT_REL_TOL * hi:
             return 0.5 * (lo + hi)
     raise BracketingError(
-        f"critical-density bisection did not converge after {max_iter} iterations"
+        f"critical-density bisection did not converge after {_BISECT_MAX_ITER} iterations"
     )

@@ -28,7 +28,7 @@ from scipy.linalg import blas
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from scipy.spatial import cKDTree
 
-from .constants import CODATA, AtomSpecies, PhysicalConstants, dicke_density
+from .constants import CODATA, AtomSpecies, dicke_density
 from .errors import (ConfigError, EigensolverConvergenceError,
                      InfeasiblePackingError, ScaleSeparationError)
 from .kernels import CutoffProfile, contact_scalars
@@ -181,8 +181,7 @@ def _polarization_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1 / np.linalg.norm(e1), e2 / np.linalg.norm(e2)
 
 
-def build_mode_basis(box_length: float, lambda_min: float,
-                     constants: PhysicalConstants = CODATA) -> ModeBasis:
+def build_mode_basis(box_length: float, lambda_min: float) -> ModeBasis:
     """Enumerate box-commensurate transverse modes with 0 < |k| <= 2 pi / lambda_min."""
     if lambda_min <= 0.0 or box_length <= 0.0:
         raise ValueError("box_length and lambda_min must be positive")
@@ -213,11 +212,11 @@ def build_mode_basis(box_length: float, lambda_min: float,
                         ks.append(kvec)
                         pols.append(pol)
                         parities.append(parity)
-                        omegas.append(constants.c * np.linalg.norm(kvec))
+                        omegas.append(CODATA.c * np.linalg.norm(kvec))
     k = np.array(ks)
     omega_arr = np.array(omegas)
     volume = box_length**3
-    amplitude = np.sqrt(4.0 * constants.hbar * omega_arr * constants.epsilon0 / volume)
+    amplitude = np.sqrt(4.0 * CODATA.hbar * omega_arr * CODATA.epsilon0 / volume)
     return ModeBasis(box_length=box_length, lambda_min=lambda_min, k=k,
                      pol=np.array(pols), parity=np.array(parities, dtype=np.int8),
                      Omega=omega_arr, amplitude=amplitude)
@@ -229,7 +228,6 @@ def build_mode_basis(box_length: float, lambda_min: float,
 
 def assemble_dynamical_matrix(config: Configuration, basis: ModeBasis,
                               species: AtomSpecies, profile: CutoffProfile,
-                              constants: PhysicalConstants = CODATA,
                               include_contact: bool = True
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Blocks (a, b, d) of the dynamical matrix [[a, b], [b^T, diag(d)]].
@@ -255,7 +253,7 @@ def assemble_dynamical_matrix(config: Configuration, basis: ModeBasis,
         ut, ul = contact_scalars(profile, r)
         dl = ul - ut
         rhat = np.ascontiguousarray((diff / r[:, None]).T)
-        coupling = 2.0 * species.dipole**2 * omega / (constants.hbar * constants.epsilon0)
+        coupling = 2.0 * species.dipole**2 * omega / (CODATA.hbar * CODATA.epsilon0)
         buffer = np.zeros((n, n))
         flat = buffer.reshape(-1)
         upper, lower = iu * n + ju, ju * n + iu
@@ -273,7 +271,7 @@ def assemble_dynamical_matrix(config: Configuration, basis: ModeBasis,
     phase = pos @ basis.k.T
     wave = np.where(basis.parity[None, :] == 0, np.cos(phase), np.sin(phase))
     scal = (species.dipole * np.sqrt(omega * basis.Omega)[None, :]
-            / (constants.hbar * constants.epsilon0)
+            / (CODATA.hbar * CODATA.epsilon0)
             * basis.amplitude[None, :] * wave)          # (N, M)
     b = (scal[:, None, :] * basis.pol.T[None, :, :]).reshape(3 * n, basis.n_modes)
     return a, b, basis.Omega**2
@@ -321,8 +319,8 @@ class ScanGeometry:
     """Geometry of the numerical experiment, tied to the cutoff length."""
 
     ell: float
-    box_over_ell: float = 8.0
-    lambda_min_over_ell: float = 4.0
+    box_over_ell: float
+    lambda_min_over_ell: float
 
     @property
     def box_length(self) -> float:
@@ -371,8 +369,7 @@ def check_scan_separation(species: AtomSpecies, geometry: ScanGeometry,
 
 
 def _replica_eigs(density: float, geometry: ScanGeometry, basis: ModeBasis,
-                  species: AtomSpecies, profile: CutoffProfile,
-                  constants: PhysicalConstants, report: StabilityReport,
+                  species: AtomSpecies, profile: CutoffProfile, report: StabilityReport,
                   seed_block: tuple, include_contact: bool) -> np.ndarray:
     eigs = np.empty(report.replicas)
     phase = report.phase_s
@@ -382,7 +379,7 @@ def _replica_eigs(density: float, geometry: ScanGeometry, basis: ModeBasis,
                                    species.core_diameter,
                                    seed=seed_block + (j,))
         t1 = time.perf_counter()
-        a, b, d = assemble_dynamical_matrix(cfg, basis, species, profile, constants,
+        a, b, d = assemble_dynamical_matrix(cfg, basis, species, profile,
                                             include_contact=include_contact)
         t2 = time.perf_counter()
         eigs[j] = minimal_eigenvalue(a, b, d)
@@ -402,8 +399,7 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
                    geometry: ScanGeometry, replicas: int = 10, master_seed: int = 0,
                    bisect_steps: int = 8, include_contact: bool = True,
                    min_ell_over_core: float = 4.0,
-                   min_lambda_over_ell: float = 4.0,
-                   constants: PhysicalConstants = CODATA) -> StabilityReport:
+                   min_lambda_over_ell: float = 4.0) -> StabilityReport:
     """Minimal-eigenvalue curve over a density grid plus threshold bisection.
 
     Each (density, replica) task owns an independent RNG stream derived from
@@ -422,7 +418,7 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
     if densities.size == 0 or np.any(densities <= 0.0):
         raise ValueError("density grid must be non-empty and positive")
 
-    basis = build_mode_basis(geometry.box_length, geometry.lambda_min, constants)
+    basis = build_mode_basis(geometry.box_length, geometry.lambda_min)
     # the largest matrix of the scan is known before any sampling
     worst_dim = 3 * int(round(densities[-1] * geometry.box_length**3)) + basis.n_modes
     if worst_dim > _MAX_MATRIX_DIM:
@@ -437,10 +433,10 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
     report = StabilityReport(density_grid=densities, min_eig_mean=mean,
                              min_eig_std=std, unstable_fraction=frac,
                              atoms_per_density=atoms, replicas=replicas)
-    n_dicke = dicke_density(species, constants)
+    n_dicke = dicke_density(species)
     started = time.perf_counter()
     for i, density in enumerate(densities):
-        eigs = _replica_eigs(density, geometry, basis, species, profile, constants,
+        eigs = _replica_eigs(density, geometry, basis, species, profile,
                              report, (master_seed, 0, i), include_contact)
         mean[i] = eigs.mean()
         std[i] = eigs.std(ddof=1) if replicas > 1 else 0.0
@@ -460,7 +456,7 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
     lo, hi = densities[crossing], densities[crossing + 1]
     for step in range(bisect_steps):
         mid = 0.5 * (lo + hi)
-        eigs = _replica_eigs(mid, geometry, basis, species, profile, constants,
+        eigs = _replica_eigs(mid, geometry, basis, species, profile,
                              report, (master_seed, 1, step), include_contact)
         report.probes.append((mid, float(eigs.mean())))
         _progress(f"probe {step + 1}/{bisect_steps}", mid / n_dicke,

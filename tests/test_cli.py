@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -94,7 +95,7 @@ def test_kernel_check_workers_do_not_change_output(tmp_path):
                  "--workers", "4"]) == 0
     assert (out1 / "kernel-check.csv").read_bytes() == \
         (out4 / "kernel-check.csv").read_bytes()
-    # rows on worker threads record into the command's quadrature log
+    # --workers is accepted and ignored: the same rows feed the same quadrature log
     errors = [[line for line in (out / "manifest.txt").read_text().splitlines()
                if line.startswith("quadrature_error_max")] for out in (out1, out4)]
     assert errors[0] == errors[1] and len(errors[0]) == 1
@@ -343,6 +344,13 @@ def test_missing_required_key_exits_with_config_error(tmp_path, capsys):
     assert "missing required config key" in capsys.readouterr().err
 
 
+def test_empty_value_of_a_non_optional_key_exits_with_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, _base_config(**{"microsim.include_contact": ""}))
+    assert main(["microsim", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "microsim.include_contact cannot be empty" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_scale_separation_violation_exits_with_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, _base_config(
         **{"microsim.lambda_min_over_ell": "1.0"}))
@@ -384,3 +392,30 @@ def test_environment_override_reaches_the_run(tmp_path, monkeypatch):
     rows, _ = _read_rows(out, "critical")
     # sigma = 0.5 ell keeps more of the overlap than the 1.15 ell core would
     assert float(rows[0]["J_overlap"]) > 0.98
+
+
+def _benchmark_workloads():
+    """The benchmark's workload module, imported as it stands in the repository."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_pass_runs_clean_through_its_own_interface(tmp_path):
+    # the benchmark drives main() with its own argv and config keys; an op it
+    # cannot run, or whose output fails its checks, voids the benchmark
+    workloads = _benchmark_workloads()
+    ladder = workloads.WORKLOADS["ladder"].parts[0]
+    workload = workloads.Combined(
+        workloads.BoxScans(rungs=ladder.rungs[:1], grid=ladder.grid,
+                           replicas=ladder.replicas,
+                           bisect_steps=ladder.bisect_steps),
+        workloads.MEANFIELD)
+    ops = workload.prepare(0, tmp_path)
+    workloads.run(ops)
+    workloads.check(workload, ops)
+    assert [(op.label, op.rc, op.failure) for op in ops] == \
+        [(op.label, 0, "") for op in ops]

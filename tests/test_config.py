@@ -95,6 +95,34 @@ def test_load_config_type_errors(tmp_path):
         load_config(_write(tmp_path, bad_bool), env={})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("microsim.replicas", ""),
+    ("output.precision", ""),
+    ("species.omega_rad_per_s", ""),
+    ("microsim.density_ratios", ""),
+    ("microsim.include_contact", ""),
+    ("microsim.density_ratios", ","),
+    ("kernel_check.r_over_ell", " , "),
+])
+def test_load_config_rejects_empty_values_of_non_optional_keys(tmp_path, key, value):
+    # only the keys whose default is empty may be given empty; an empty bool
+    # must not silently read as false
+    with pytest.raises(ConfigError, match=key):
+        load_config(_write(tmp_path, _minimal_text(**{key: value})), env={})
+    with pytest.raises(ConfigError, match=key):
+        load_config(_write(tmp_path, _minimal_text()), env={env_name(key): value})
+
+
+def test_load_config_optional_keys_accept_empty_values(tmp_path):
+    empty = {"rdf.sigma_m": "", "rdf.table_path": "", "meanfield.Omega_rad_per_s": ""}
+    for cfg in (load_config(_write(tmp_path, _minimal_text(**empty)), env={}),
+                load_config(_write(tmp_path, _minimal_text()),
+                            env={env_name(key): "" for key in empty})):
+        assert cfg["rdf.sigma_m"] == "" and cfg["rdf.table_path"] == ""
+        assert cfg.omega_list() == [cfg["species.omega_rad_per_s"]]
+        assert cfg.rdf_sigma() == cfg["species.core_diameter_m"]
+
+
 def test_load_config_validation_errors(tmp_path):
     cases = {
         "cutoff.shape": "boxcar",

@@ -1,9 +1,6 @@
 from __future__ import annotations
 
-import contextvars
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -14,7 +11,7 @@ from scipy.special._ufuncs import _spherical_jn
 from depolgas.kernels import (GAUSSIAN, LORENTZIAN, CutoffProfile,
                               QuadratureLog, contact_scalars, enclosed_fraction,
                               gamma_k, gamma_peak, gamma_r, kernel_k, kernel_u,
-                              log_quadrature, radial_scalars)
+                              radial_scalars)
 
 # frozen oracle: closed-form enclosed fractions at r/ell = 0.5, cross-checked
 # against direct quadrature of 4 pi s^2 Gamma(s) (agreement ~4e-17)
@@ -163,28 +160,6 @@ def test_quadrature_log_records_only_inside_its_block(profile):
     calls = log.calls
     radial_scalars(profile, 0.7, route="spectral")
     assert log.calls == calls
-
-
-def test_quadrature_log_keeps_every_update_across_threads():
-    threads, per_thread = 8, 2000
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with QuadratureLog() as log:
-            def work(k):
-                for i in range(per_thread):
-                    log_quadrature(0.0, float(k * per_thread + i), 1.0, 1.0)
-            pool = [threading.Thread(target=contextvars.copy_context().run,
-                                     args=(work, k)) for k in range(threads)]
-            for t in pool:
-                t.start()
-            for t in pool:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in pool)
-    finally:
-        sys.setswitchinterval(previous)
-    assert log.calls == threads * per_thread
-    assert log.error_max == threads * per_thread - 1
 
 
 def test_trace_identity_real_route(profile):
