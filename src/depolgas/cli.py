@@ -238,8 +238,7 @@ def _cmd_microsim(cfg: RunConfig, args, errors: _RowErrors):
         replicas=cfg.values["microsim.replicas"], master_seed=args.seed,
         bisect_steps=cfg.values["microsim.bisect_steps"],
         include_contact=cfg.values["microsim.include_contact"],
-        min_ell_over_core=cfg.values["validation.min_ell_over_core"],
-        min_lambda_over_ell=cfg.values["validation.min_lambda_over_ell"])
+        min_ell_over_core=cfg.values["validation.min_ell_over_core"])
     rows = []
     for i, density in enumerate(report.density_grid):
         rows.append([density / n_dicke, density, int(report.atoms_per_density[i]),

@@ -3,9 +3,9 @@
 Values come from the config file, may be overridden by environment
 variables (``DEPOLGAS_`` + the dotted key uppercased with dots replaced by
 underscores), and are validated against a fixed schema; unknown keys are
-hard errors.  The mean-field commands check core << ell here with a
-configurable factor; the simulation checks core << ell << lambda_min in
-``microsim.check_scan_separation`` with the same factors.
+hard errors.  The mean-field commands (here) and the simulation
+(``microsim.check_scan_separation``) check core << ell with the factor
+``validation.min_ell_over_core``; the simulation fixes lambda_min >= 4 ell.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ _SCHEMA: dict[str, tuple[str, str | None]] = {
     "microsim.bisect_steps": ("int", "8"),
     "microsim.include_contact": ("bool", "true"),
     "validation.min_ell_over_core": ("float", "4.0"),
-    "validation.min_lambda_over_ell": ("float", "4.0"),
     "output.precision": ("int", "17"),
 }
 

@@ -257,14 +257,15 @@ def kernel_k(profile: CutoffProfile, rvec, route: str = "real") -> np.ndarray:
     return _tensor_from_scalars(rvec, kt, kl)
 
 
-def kernel_u(profile: CutoffProfile, rvec, route: str = "real") -> np.ndarray:
-    """Contact kernel u(r) = K(r) + (grad grad G)(r), r != 0 only."""
+def kernel_u(profile: CutoffProfile, rvec) -> np.ndarray:
+    """Contact kernel u(r) = K(r) + (grad grad G)(r), r != 0 only, with K
+    from the real-space route."""
     rvec = np.asarray(rvec, dtype=float)
     r = float(np.linalg.norm(rvec))
     if r == 0.0:
         raise ValueError("u(0) is distribution-valued and never evaluated; "
                          "the contact term enters through g(0) instead")
-    kt, kl = radial_scalars(profile, r, route)
+    kt, kl = radial_scalars(profile, r)
     ut = kt + 1.0 / (4.0 * math.pi * r**3)
     ul = kl - 1.0 / (2.0 * math.pi * r**3)
     return _tensor_from_scalars(rvec, ut, ul)

@@ -40,6 +40,7 @@ _MIN_BLOCK = 64            # fewest trials drawn at once
 # and the exact minimum-image test differ only by rounding
 _SEARCH_SLACK = 1.001
 _MAX_MATRIX_DIM = 8000
+_MIN_LAMBDA_OVER_ELL = 4.0  # ell << lambda_min
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class Configuration:
     """One sampled hard-sphere configuration in a periodic cube."""
 
     box_length: float
-    core_diameter: float
     positions: np.ndarray  # (N, 3), coordinates in [0, L)
 
     @property
@@ -139,8 +139,7 @@ def sample_configuration(density: float, box_length: float, core_diameter: float
         kept = trials[keep][: n - accepted]
         positions[accepted: accepted + len(kept)] = kept
         accepted += len(kept)
-    return Configuration(box_length=box_length, core_diameter=core_diameter,
-                         positions=positions)
+    return Configuration(box_length=box_length, positions=positions)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +158,6 @@ class ModeBasis:
     """
 
     box_length: float
-    lambda_min: float
     k: np.ndarray          # (M, 3) rad/m
     pol: np.ndarray        # (M, 3) unit vectors
     parity: np.ndarray     # (M,) 0 cos, 1 sin
@@ -171,18 +169,12 @@ class ModeBasis:
         return self.k.shape[0]
 
 
-def _polarization_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # integer constructions keep k . pol at exact zero before normalization
-    mx, my, mz = (float(v) for v in m)
-    if mx == 0.0 and my == 0.0:
-        return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    e1 = np.array([my, -mx, 0.0])
-    e2 = np.array([mz * mx, mz * my, -(mx * mx + my * my)])
-    return e1 / np.linalg.norm(e1), e2 / np.linalg.norm(e2)
-
-
 def build_mode_basis(box_length: float, lambda_min: float) -> ModeBasis:
-    """Enumerate box-commensurate transverse modes with 0 < |k| <= 2 pi / lambda_min."""
+    """Enumerate box-commensurate transverse modes with 0 < |k| <= 2 pi / lambda_min.
+
+    Wavevectors k = 2 pi m / L run over the integer lattice m in mx-major
+    order; each gives four consecutive modes: e1 cos, e1 sin, e2 cos, e2 sin.
+    """
     if lambda_min <= 0.0 or box_length <= 0.0:
         raise ValueError("box_length and lambda_min must be positive")
     m_max = box_length / lambda_min
@@ -190,36 +182,32 @@ def build_mode_basis(box_length: float, lambda_min: float) -> ModeBasis:
         raise ConfigError(
             f"no modes fit: lambda_min {lambda_min:g} exceeds box length {box_length:g}"
         )
-    limit = int(math.floor(m_max))
-    ks, pols, parities, omegas = [], [], [], []
-    base = 2.0 * math.pi / box_length
-    for mx in range(-limit, limit + 1):
-        for my in range(-limit, limit + 1):
-            for mz in range(-limit, limit + 1):
-                m = (mx, my, mz)
-                if m == (0, 0, 0):
-                    continue
-                # canonical representative of the +-m pair
-                if not (mx > 0 or (mx == 0 and (my > 0 or (my == 0 and mz > 0)))):
-                    continue
-                if mx * mx + my * my + mz * mz > m_max * m_max:
-                    continue
-                marr = np.array(m, dtype=float)
-                kvec = base * marr
-                e1, e2 = _polarization_pair(marr)
-                for pol in (e1, e2):
-                    for parity in (0, 1):
-                        ks.append(kvec)
-                        pols.append(pol)
-                        parities.append(parity)
-                        omegas.append(CODATA.c * np.linalg.norm(kvec))
-    k = np.array(ks)
-    omega_arr = np.array(omegas)
-    volume = box_length**3
-    amplitude = np.sqrt(4.0 * CODATA.hbar * omega_arr * CODATA.epsilon0 / volume)
-    return ModeBasis(box_length=box_length, lambda_min=lambda_min, k=k,
-                     pol=np.array(pols), parity=np.array(parities, dtype=np.int8),
-                     Omega=omega_arr, amplitude=amplitude)
+    # float entries, so zero components of e1 and e2 keep their IEEE sign
+    axis = np.arange(-math.floor(m_max), math.floor(m_max) + 1, dtype=float)
+    m = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    mx, my, mz = m.T
+    # canonical representative of the +-m pair, inside the sphere |m| <= m_max
+    canonical = (mx > 0) | ((mx == 0) & ((my > 0) | ((my == 0) & (mz > 0))))
+    m = m[canonical & ((m * m).sum(axis=1) <= m_max * m_max)]
+    mx, my, mz = m.T
+    # integer-valued polarizations keep k . pol at exact zero before
+    # normalization, and their squared norms are exact
+    e1 = np.stack([my, -mx, np.zeros_like(mx)], axis=1)
+    e2 = np.stack([mz * mx, mz * my, -(mx * mx + my * my)], axis=1)
+    on_z = (mx == 0) & (my == 0)
+    e1[on_z] = (1.0, 0.0, 0.0)
+    e2[on_z] = (0.0, 1.0, 0.0)
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2 /= np.linalg.norm(e2, axis=1)[:, None]
+    k = (2.0 * math.pi / box_length) * m
+    # |k| by one dot product per row rounds like a 1-D norm; norm(axis=1) does not
+    omega = CODATA.c * np.sqrt((k[:, None, :] @ k[:, :, None]).ravel())
+    omega = np.repeat(omega, 4)
+    amplitude = np.sqrt(4.0 * CODATA.hbar * omega * CODATA.epsilon0 / box_length**3)
+    return ModeBasis(box_length=box_length, k=np.repeat(k, 4, axis=0),
+                     pol=np.stack([e1, e1, e2, e2], axis=1).reshape(-1, 3),
+                     parity=np.tile(np.array([0, 1], dtype=np.int8), 2 * len(m)),
+                     Omega=omega, amplitude=amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +338,7 @@ class StabilityReport:
 
 
 def check_scan_separation(species: AtomSpecies, geometry: ScanGeometry,
-                          min_ell_over_core: float = 4.0,
-                          min_lambda_over_ell: float = 4.0) -> None:
+                          min_ell_over_core: float = 4.0) -> None:
     """Hard gate on the scale ordering core << ell << lambda_min."""
     sigma = species.core_diameter
     if sigma > 0.0 and geometry.ell < min_ell_over_core * sigma:
@@ -360,10 +347,10 @@ def check_scan_separation(species: AtomSpecies, geometry: ScanGeometry,
             f"{min_ell_over_core:g} * core_diameter (core << ell), got "
             f"ell = {geometry.ell:g} m, core_diameter = {sigma:g} m"
         )
-    if geometry.lambda_min < min_lambda_over_ell * geometry.ell:
+    if geometry.lambda_min < _MIN_LAMBDA_OVER_ELL * geometry.ell:
         raise ScaleSeparationError(
             "scale separation violated: require lambda_min >= "
-            f"{min_lambda_over_ell:g} * ell (ell << lambda_min), got "
+            f"{_MIN_LAMBDA_OVER_ELL:g} * ell (ell << lambda_min), got "
             f"lambda_min = {geometry.lambda_min:g} m, ell = {geometry.ell:g} m"
         )
 
@@ -398,8 +385,7 @@ def _progress(step: str, density_over_nd: float, n_atoms: int, started: float) -
 def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
                    geometry: ScanGeometry, replicas: int = 10, master_seed: int = 0,
                    bisect_steps: int = 8, include_contact: bool = True,
-                   min_ell_over_core: float = 4.0,
-                   min_lambda_over_ell: float = 4.0) -> StabilityReport:
+                   min_ell_over_core: float = 4.0) -> StabilityReport:
     """Minimal-eigenvalue curve over a density grid plus threshold bisection.
 
     Each (density, replica) task owns an independent RNG stream derived from
@@ -411,7 +397,7 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
     """
     if profile.ell != geometry.ell:
         raise ConfigError("profile.ell and geometry.ell must agree")
-    check_scan_separation(species, geometry, min_ell_over_core, min_lambda_over_ell)
+    check_scan_separation(species, geometry, min_ell_over_core)
     if replicas < 1:
         raise ValueError("need at least one replica")
     densities = np.sort(np.asarray(list(densities), dtype=float))

@@ -351,6 +351,16 @@ def test_empty_value_of_a_non_optional_key_exits_with_config_error(tmp_path, cap
     assert not (tmp_path / "o").exists()
 
 
+def test_removed_lambda_factor_key_exits_with_config_error(tmp_path, capsys):
+    # ell << lambda_min is a fixed factor of 4, no longer a config key
+    cfg = _write_config(tmp_path, _base_config(
+        **{"validation.min_lambda_over_ell": "2.0"}))
+    assert main(["critical", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert ("unknown config keys: validation.min_lambda_over_ell"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 def test_scale_separation_violation_exits_with_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, _base_config(
         **{"microsim.lambda_min_over_ell": "1.0"}))

@@ -339,6 +339,67 @@ def test_mode_basis_has_one_representative_per_pair():
         assert sorted(matching) == [0, 1]
 
 
+def _reference_mode_basis(box_length: float, lambda_min: float) -> dict:
+    """The former per-wavevector loop, kept as the byte oracle."""
+
+    def _polarization_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # integer constructions keep k . pol at exact zero before normalization
+        mx, my, mz = (float(v) for v in m)
+        if mx == 0.0 and my == 0.0:
+            return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+        e1 = np.array([my, -mx, 0.0])
+        e2 = np.array([mz * mx, mz * my, -(mx * mx + my * my)])
+        return e1 / np.linalg.norm(e1), e2 / np.linalg.norm(e2)
+
+    m_max = box_length / lambda_min
+    limit = int(math.floor(m_max))
+    ks, pols, parities, omegas = [], [], [], []
+    base = 2.0 * math.pi / box_length
+    for mx in range(-limit, limit + 1):
+        for my in range(-limit, limit + 1):
+            for mz in range(-limit, limit + 1):
+                m = (mx, my, mz)
+                if m == (0, 0, 0):
+                    continue
+                # canonical representative of the +-m pair
+                if not (mx > 0 or (mx == 0 and (my > 0 or (my == 0 and mz > 0)))):
+                    continue
+                if mx * mx + my * my + mz * mz > m_max * m_max:
+                    continue
+                marr = np.array(m, dtype=float)
+                kvec = base * marr
+                e1, e2 = _polarization_pair(marr)
+                for pol in (e1, e2):
+                    for parity in (0, 1):
+                        ks.append(kvec)
+                        pols.append(pol)
+                        parities.append(parity)
+                        omegas.append(CODATA.c * np.linalg.norm(kvec))
+    k = np.array(ks)
+    omega_arr = np.array(omegas)
+    volume = box_length**3
+    amplitude = np.sqrt(4.0 * CODATA.hbar * omega_arr * CODATA.epsilon0 / volume)
+    return {"k": k, "pol": np.array(pols),
+            "parity": np.array(parities, dtype=np.int8),
+            "Omega": omega_arr, "amplitude": amplitude}
+
+
+@pytest.mark.parametrize("box_over_ell, box_over_lambda", [
+    (8.0, 8.0 / 6.0), (12.0, 12.0 / 9.0), (16.0, 16.0 / 12.0),  # ladder, big box
+    (8.0, 2.0),                                # CLI defaults: off-axis shells
+    (7.3, 3.0), (7.3, 4.0), (8.0, 5.0),        # norm(axis=1) rounds |k| differently
+    (6.0, 1.5), (10.0, 2.5),
+])
+def test_mode_basis_is_byte_identical_to_the_loop(box_over_ell, box_over_lambda):
+    box = box_over_ell * ELL
+    basis = build_mode_basis(box, box / box_over_lambda)
+    reference = _reference_mode_basis(box, box / box_over_lambda)
+    for name, expected in reference.items():
+        got = getattr(basis, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
+
+
 def test_mode_basis_rejects_empty_and_invalid():
     with pytest.raises(ConfigError):
         build_mode_basis(box_length=2.0, lambda_min=3.0)
@@ -365,8 +426,7 @@ def test_mode_field_matches_direct_evaluation():
             expected = basis.amplitude[nu] * wave * basis.pol[nu]
             assert np.allclose(field[nu, p], expected, rtol=1e-13, atol=0.0)
 
-    cfg = Configuration(box_length=box, core_diameter=species.core_diameter,
-                        positions=pos)
+    cfg = Configuration(box_length=box, positions=pos)
     _, b, _ = assemble_dynamical_matrix(cfg, basis, species, _PROFILE)
     coupling = (species.dipole * np.sqrt(species.omega * basis.Omega)
                 / (CODATA.hbar * CODATA.epsilon0))
@@ -536,8 +596,7 @@ def test_single_atom_matches_two_level_mean_field():
     axis = int(np.argmax(np.abs(kvec)))
     x0 = np.zeros(3)
     x0[axis] = (math.pi / 4.0) / kvec[axis]
-    cfg = Configuration(box_length=box, core_diameter=species.core_diameter,
-                        positions=x0[None, :])
+    cfg = Configuration(box_length=box, positions=x0[None, :])
 
     measured = minimal_eigenvalue(*assemble_dynamical_matrix(cfg, single, species,
                                                              _PROFILE))
@@ -566,8 +625,7 @@ def test_dilute_lattice_matches_mean_field_density():
     basis = build_mode_basis(box, 24.0 * ELL)
     assert basis.n_modes == 12  # the |m| = 1 shell only
 
-    cfg = Configuration(box_length=box, core_diameter=species.core_diameter,
-                        positions=positions)
+    cfg = Configuration(box_length=box, positions=positions)
     measured = minimal_eigenvalue(*assemble_dynamical_matrix(cfg, basis, species,
                                                              profile))
 
