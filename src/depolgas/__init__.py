@@ -13,10 +13,9 @@ from .kernels import (CutoffProfile, GAUSSIAN, LORENTZIAN, gamma_k, gamma_r,
                       kernel_k, kernel_u, radial_scalars)
 from .meanfield import (BranchPair, DispersionInput, RadialDistribution,
                         branch_frequencies, closed_form_branches,
-                        critical_density, critical_ratio_bisection,
-                        critical_ratio_from_overlap, depolarization_shift,
+                        critical_ratio_bisection, critical_ratio_from_overlap,
                         dispersion, overlap_integral, shift_slope)
-from .microsim import (Configuration, ModeBasis, ScanGeometry, StabilityReport,
+from .microsim import (Configuration, ModeBasis, StabilityReport,
                        assemble_dynamical_matrix, build_mode_basis,
                        minimal_eigenvalue, sample_configuration,
                        stability_scan)
@@ -27,10 +26,10 @@ __all__ = [
     "CutoffProfile", "GAUSSIAN", "LORENTZIAN", "gamma_k", "gamma_r",
     "kernel_k", "kernel_u", "radial_scalars",
     "BranchPair", "DispersionInput", "RadialDistribution",
-    "branch_frequencies", "closed_form_branches", "critical_density",
+    "branch_frequencies", "closed_form_branches",
     "critical_ratio_bisection", "critical_ratio_from_overlap",
-    "depolarization_shift", "dispersion", "overlap_integral", "shift_slope",
-    "Configuration", "ModeBasis", "ScanGeometry", "StabilityReport",
+    "dispersion", "overlap_integral", "shift_slope",
+    "Configuration", "ModeBasis", "StabilityReport",
     "assemble_dynamical_matrix", "build_mode_basis", "minimal_eigenvalue",
     "sample_configuration", "stability_scan",
 ]

@@ -38,7 +38,7 @@ from .kernels import QuadratureLog, gamma_peak, gamma_r, kernel_k, kernel_u
 from .meanfield import (DispersionInput, branch_frequencies,
                         critical_ratio_bisection, critical_ratio_from_overlap,
                         overlap_integral, shift_slope)
-from .microsim import ScanGeometry, stability_scan
+from .microsim import stability_scan
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -229,12 +229,11 @@ def _cmd_microsim(cfg: RunConfig, args, errors: _RowErrors):
     species = cfg.species()
     profile = cfg.profile()
     n_dicke = dicke_density(species)
-    geometry = ScanGeometry(ell=profile.ell,
-                            box_over_ell=cfg.values["microsim.box_over_ell"],
-                            lambda_min_over_ell=cfg.values["microsim.lambda_min_over_ell"])
     ratios = cfg.values["microsim.density_ratios"]
     report = stability_scan(
-        [r * n_dicke for r in ratios], species, profile, geometry,
+        [r * n_dicke for r in ratios], species, profile,
+        cfg.values["microsim.box_over_ell"] * profile.ell,
+        cfg.values["microsim.lambda_min_over_ell"] * profile.ell,
         replicas=cfg.values["microsim.replicas"], master_seed=args.seed,
         bisect_steps=cfg.values["microsim.bisect_steps"],
         include_contact=cfg.values["microsim.include_contact"],

@@ -122,9 +122,6 @@ class RunConfig:
     resolved: dict = field(default_factory=dict)
     base_dir: Path = Path(".")
 
-    def __getitem__(self, key: str):
-        return self.values[key]
-
     def species(self) -> AtomSpecies:
         return AtomSpecies(
             name=self.values["species.name"],
@@ -162,7 +159,7 @@ class RunConfig:
 
     def rdf_sigma(self) -> float:
         raw = self.values["rdf.sigma_m"]
-        if raw == "" or raw is None:
+        if raw == "":
             return self.values["species.core_diameter_m"]
         return raw
 

@@ -140,7 +140,7 @@ def overlap_integral(g: RadialDistribution, profile: CutoffProfile) -> float:
             stacklevel=2,
         )
     # 30 ell covers the slowest built-in Gamma tail to below 1e-12
-    r_cut = max(30.0 * profile.ell, 2.0 * edge) if edge > 0.0 else 30.0 * profile.ell
+    r_cut = max(30.0 * profile.ell, 2.0 * edge)
 
     def integrand(r):
         return 4.0 * math.pi * r * r * float(g.evaluate(r)) * float(gamma_r(profile, r))
@@ -155,15 +155,6 @@ def overlap_integral(g: RadialDistribution, profile: CutoffProfile) -> float:
         raise QuadratureConvergenceError(f"overlap quadrature reached error {err:.3e}")
     tail = 1.0 - float(enclosed_fraction(profile, r_cut))
     return val + tail
-
-
-def depolarization_shift(density_ratio: float, g: RadialDistribution,
-                         profile: CutoffProfile) -> float:
-    """varsigma = rho (2 J / 3 + g(0) / 3) for rho = n / n_D >= 0."""
-    if density_ratio < 0.0:
-        raise ValueError("density ratio must be non-negative")
-    j = overlap_integral(g, profile)
-    return density_ratio * shift_slope(j, g.contact_value)
 
 
 def shift_slope(overlap: float, contact_value: float) -> float:
@@ -284,11 +275,6 @@ def critical_ratio_from_overlap(overlap: float, contact_value: float) -> float:
             f"2J/3 + g(0)/3 = {slope:.6g} >= 1"
         )
     return 1.0 / denom
-
-
-def critical_density(g: RadialDistribution, profile: CutoffProfile) -> float:
-    """Critical density ratio n_c / n_D for the given pair statistics."""
-    return critical_ratio_from_overlap(overlap_integral(g, profile), g.contact_value)
 
 
 def critical_ratio_bisection(overlap: float, contact_value: float, omega: float,

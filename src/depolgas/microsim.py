@@ -157,7 +157,6 @@ class ModeBasis:
     Int f_nu . f_mu d^3x = 2 hbar Omega_nu eps0 delta_numu.
     """
 
-    box_length: float
     k: np.ndarray          # (M, 3) rad/m
     pol: np.ndarray        # (M, 3) unit vectors
     parity: np.ndarray     # (M,) 0 cos, 1 sin
@@ -204,7 +203,7 @@ def build_mode_basis(box_length: float, lambda_min: float) -> ModeBasis:
     omega = CODATA.c * np.sqrt((k[:, None, :] @ k[:, :, None]).ravel())
     omega = np.repeat(omega, 4)
     amplitude = np.sqrt(4.0 * CODATA.hbar * omega * CODATA.epsilon0 / box_length**3)
-    return ModeBasis(box_length=box_length, k=np.repeat(k, 4, axis=0),
+    return ModeBasis(k=np.repeat(k, 4, axis=0),
                      pol=np.stack([e1, e1, e2, e2], axis=1).reshape(-1, 3),
                      parity=np.tile(np.array([0, 1], dtype=np.int8), 2 * len(m)),
                      Omega=omega, amplitude=amplitude)
@@ -302,23 +301,6 @@ def minimal_eigenvalue(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> float:
 # density scan
 
 
-@dataclass(frozen=True)
-class ScanGeometry:
-    """Geometry of the numerical experiment, tied to the cutoff length."""
-
-    ell: float
-    box_over_ell: float
-    lambda_min_over_ell: float
-
-    @property
-    def box_length(self) -> float:
-        return self.box_over_ell * self.ell
-
-    @property
-    def lambda_min(self) -> float:
-        return self.lambda_min_over_ell * self.ell
-
-
 @dataclass
 class StabilityReport:
     """Replica-averaged minimal-eigenvalue curve and threshold bracket."""
@@ -337,33 +319,32 @@ class StabilityReport:
         ("sample", "assemble", "eig"), 0.0))
 
 
-def check_scan_separation(species: AtomSpecies, geometry: ScanGeometry,
-                          min_ell_over_core: float = 4.0) -> None:
-    """Hard gate on the scale ordering core << ell << lambda_min."""
+def check_scan_separation(species: AtomSpecies, ell: float, lambda_min: float,
+                          min_ell_over_core: float) -> None:
+    """Hard gate on the scale ordering core << ell << lambda_min (lengths in m)."""
     sigma = species.core_diameter
-    if sigma > 0.0 and geometry.ell < min_ell_over_core * sigma:
+    if sigma > 0.0 and ell < min_ell_over_core * sigma:
         raise ScaleSeparationError(
             "scale separation violated: require ell >= "
             f"{min_ell_over_core:g} * core_diameter (core << ell), got "
-            f"ell = {geometry.ell:g} m, core_diameter = {sigma:g} m"
+            f"ell = {ell:g} m, core_diameter = {sigma:g} m"
         )
-    if geometry.lambda_min < _MIN_LAMBDA_OVER_ELL * geometry.ell:
+    if lambda_min < _MIN_LAMBDA_OVER_ELL * ell:
         raise ScaleSeparationError(
             "scale separation violated: require lambda_min >= "
             f"{_MIN_LAMBDA_OVER_ELL:g} * ell (ell << lambda_min), got "
-            f"lambda_min = {geometry.lambda_min:g} m, ell = {geometry.ell:g} m"
+            f"lambda_min = {lambda_min:g} m, ell = {ell:g} m"
         )
 
 
-def _replica_eigs(density: float, geometry: ScanGeometry, basis: ModeBasis,
+def _replica_eigs(density: float, box_length: float, basis: ModeBasis,
                   species: AtomSpecies, profile: CutoffProfile, report: StabilityReport,
                   seed_block: tuple, include_contact: bool) -> np.ndarray:
     eigs = np.empty(report.replicas)
     phase = report.phase_s
     for j in range(report.replicas):
         t0 = time.perf_counter()
-        cfg = sample_configuration(density, geometry.box_length,
-                                   species.core_diameter,
+        cfg = sample_configuration(density, box_length, species.core_diameter,
                                    seed=seed_block + (j,))
         t1 = time.perf_counter()
         a, b, d = assemble_dynamical_matrix(cfg, basis, species, profile,
@@ -383,10 +364,12 @@ def _progress(step: str, density_over_nd: float, n_atoms: int, started: float) -
 
 
 def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
-                   geometry: ScanGeometry, replicas: int = 10, master_seed: int = 0,
-                   bisect_steps: int = 8, include_contact: bool = True,
-                   min_ell_over_core: float = 4.0) -> StabilityReport:
+                   box_length: float, lambda_min: float, *, replicas: int,
+                   master_seed: int, bisect_steps: int, include_contact: bool,
+                   min_ell_over_core: float) -> StabilityReport:
     """Minimal-eigenvalue curve over a density grid plus threshold bisection.
+
+    Lengths are in metres; the cutoff length ell is ``profile.ell``.
 
     Each (density, replica) task owns an independent RNG stream derived from
     (master_seed, phase, task indices), so results are reproducible and
@@ -395,18 +378,16 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
     ``bisect_steps`` density bisections with fresh replicas.  Each grid
     density and each bisection probe reports one progress line on stderr.
     """
-    if profile.ell != geometry.ell:
-        raise ConfigError("profile.ell and geometry.ell must agree")
-    check_scan_separation(species, geometry, min_ell_over_core)
+    check_scan_separation(species, profile.ell, lambda_min, min_ell_over_core)
     if replicas < 1:
         raise ValueError("need at least one replica")
     densities = np.sort(np.asarray(list(densities), dtype=float))
     if densities.size == 0 or np.any(densities <= 0.0):
         raise ValueError("density grid must be non-empty and positive")
 
-    basis = build_mode_basis(geometry.box_length, geometry.lambda_min)
+    basis = build_mode_basis(box_length, lambda_min)
     # the largest matrix of the scan is known before any sampling
-    worst_dim = 3 * int(round(densities[-1] * geometry.box_length**3)) + basis.n_modes
+    worst_dim = 3 * int(round(densities[-1] * box_length**3)) + basis.n_modes
     if worst_dim > _MAX_MATRIX_DIM:
         raise ConfigError(
             f"dynamical matrix dimension {worst_dim} exceeds the guard "
@@ -422,12 +403,12 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
     n_dicke = dicke_density(species)
     started = time.perf_counter()
     for i, density in enumerate(densities):
-        eigs = _replica_eigs(density, geometry, basis, species, profile,
+        eigs = _replica_eigs(density, box_length, basis, species, profile,
                              report, (master_seed, 0, i), include_contact)
         mean[i] = eigs.mean()
         std[i] = eigs.std(ddof=1) if replicas > 1 else 0.0
         frac[i] = np.mean(eigs < 0.0)
-        atoms[i] = int(round(density * geometry.box_length**3))
+        atoms[i] = int(round(density * box_length**3))
         _progress(f"grid {i + 1}/{densities.size}", density / n_dicke, atoms[i],
                   started)
 
@@ -442,11 +423,11 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
     lo, hi = densities[crossing], densities[crossing + 1]
     for step in range(bisect_steps):
         mid = 0.5 * (lo + hi)
-        eigs = _replica_eigs(mid, geometry, basis, species, profile,
+        eigs = _replica_eigs(mid, box_length, basis, species, profile,
                              report, (master_seed, 1, step), include_contact)
         report.probes.append((mid, float(eigs.mean())))
         _progress(f"probe {step + 1}/{bisect_steps}", mid / n_dicke,
-                  int(round(mid * geometry.box_length**3)), started)
+                  int(round(mid * box_length**3)), started)
         if eigs.mean() <= 0.0:
             hi = mid
         else:

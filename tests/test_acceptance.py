@@ -25,10 +25,10 @@ from depolgas.kernels import (GAUSSIAN, LORENTZIAN, CutoffProfile, gamma_peak,
                               gamma_r, kernel_k)
 from depolgas.meanfield import (DispersionInput, RadialDistribution,
                                 branch_frequencies, closed_form_branches,
-                                critical_density, critical_ratio_bisection,
+                                critical_ratio_bisection,
                                 critical_ratio_from_overlap, dispersion,
                                 overlap_integral)
-from depolgas.microsim import ScanGeometry, stability_scan
+from depolgas.microsim import stability_scan
 
 _RB_OMEGA = 2.0 * math.pi * 2.99792458e8 / 794.98e-9
 _RB_DIPOLE = 2.537e-29
@@ -54,12 +54,11 @@ def ladder_reports():
     profile = CutoffProfile(ell=ELL, shape=GAUSSIAN)
     reports = []
     for box, lam in _LADDER:
-        geometry = ScanGeometry(ell=ELL, box_over_ell=box,
-                                lambda_min_over_ell=lam)
         reports.append(stability_scan(
-            [r * n_dicke for r in _GRID], species, profile, geometry,
+            [r * n_dicke for r in _GRID], species, profile, box * ELL, lam * ELL,
             replicas=_REPLICAS, master_seed=_MASTER_SEED,
-            bisect_steps=_BISECT_STEPS, min_ell_over_core=0.8))
+            bisect_steps=_BISECT_STEPS, include_contact=True,
+            min_ell_over_core=0.8))
     return reports, n_dicke
 
 
@@ -68,7 +67,8 @@ def test_acceptance_1_rubidium_dicke_density(capsys):
                           core_diameter=4.4e-10)
     n_dicke = dicke_density(species)
     profile = CutoffProfile(ell=5.0e-9, shape=GAUSSIAN)
-    ratio = critical_density(RadialDistribution.hard_step(4.4e-10), profile)
+    g = RadialDistribution.hard_step(4.4e-10)
+    ratio = critical_ratio_from_overlap(overlap_integral(g, profile), g.contact_value)
     n_c = ratio * n_dicke
     err_d = abs(n_dicke - 1.75e27) / 1.75e27
     err_c = abs(n_c - 5.25e27) / 5.25e27
@@ -81,11 +81,12 @@ def test_acceptance_1_rubidium_dicke_density(capsys):
 
 def test_acceptance_2_shifted_criticality(capsys):
     g = RadialDistribution.hard_step(0.02)
-    ratios = {}
+    overlaps, ratios = {}, {}
     for shape in (GAUSSIAN, LORENTZIAN):
-        ratios[shape] = critical_density(g, CutoffProfile(ell=1.0, shape=shape))
+        overlaps[shape] = overlap_integral(g, CutoffProfile(ell=1.0, shape=shape))
+        ratios[shape] = critical_ratio_from_overlap(overlaps[shape], g.contact_value)
         assert abs(ratios[shape] - 3.0) <= 1e-3
-    j = overlap_integral(g, CutoffProfile(ell=1.0, shape=GAUSSIAN))
+    j = overlaps[GAUSSIAN]
     bisected = [critical_ratio_bisection(j, 0.0, omega=2.4e15, Omega=big_omega)
                 for big_omega in (1e13, 1e14, 1e15, 1e16)]
     spread = max(bisected) - min(bisected)

@@ -429,3 +429,13 @@ def test_benchmark_pass_runs_clean_through_its_own_interface(tmp_path):
     workloads.check(workload, ops)
     assert [(op.label, op.rc, op.failure) for op in ops] == \
         [(op.label, 0, "") for op in ops]
+
+
+def test_package_exports_resolve_and_removed_names_are_gone():
+    missing = [name for name in depolgas.__all__ if not hasattr(depolgas, name)]
+    assert missing == []
+    # the scan takes plain lengths and the mean-field ratio is composed from
+    # critical_ratio_from_overlap and overlap_integral
+    for name in ("ScanGeometry", "critical_density", "depolarization_shift"):
+        assert not hasattr(depolgas, name)
+        assert name not in depolgas.__all__

@@ -50,15 +50,15 @@ def test_env_name_mapping():
 
 def test_load_config_minimal_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, _minimal_text()), env={})
-    assert cfg["cutoff.shape"] == GAUSSIAN
-    assert cfg["rdf.model"] == "hard_step"
-    assert cfg["microsim.replicas"] == 10
-    assert cfg["microsim.include_contact"] is True
-    assert cfg["output.precision"] == 17
-    assert cfg["meanfield.density_ratios"][:3] == [0.0, 0.2, 0.4]
+    assert cfg.values["cutoff.shape"] == GAUSSIAN
+    assert cfg.values["rdf.model"] == "hard_step"
+    assert cfg.values["microsim.replicas"] == 10
+    assert cfg.values["microsim.include_contact"] is True
+    assert cfg.values["output.precision"] == 17
+    assert cfg.values["meanfield.density_ratios"][:3] == [0.0, 0.2, 0.4]
     # optional keys resolve to empty sentinels
-    assert cfg["rdf.sigma_m"] == ""
-    assert cfg["meanfield.Omega_rad_per_s"] == []
+    assert cfg.values["rdf.sigma_m"] == ""
+    assert cfg.values["meanfield.Omega_rad_per_s"] == []
     species = cfg.species()
     assert species.name == "synthetic"
     assert cfg.profile().ell == 1e-6
@@ -118,9 +118,9 @@ def test_load_config_optional_keys_accept_empty_values(tmp_path):
     for cfg in (load_config(_write(tmp_path, _minimal_text(**empty)), env={}),
                 load_config(_write(tmp_path, _minimal_text()),
                             env={env_name(key): "" for key in empty})):
-        assert cfg["rdf.sigma_m"] == "" and cfg["rdf.table_path"] == ""
-        assert cfg.omega_list() == [cfg["species.omega_rad_per_s"]]
-        assert cfg.rdf_sigma() == cfg["species.core_diameter_m"]
+        assert cfg.values["rdf.sigma_m"] == "" and cfg.values["rdf.table_path"] == ""
+        assert cfg.omega_list() == [cfg.values["species.omega_rad_per_s"]]
+        assert cfg.rdf_sigma() == cfg.values["species.core_diameter_m"]
 
 
 def test_load_config_validation_errors(tmp_path):
@@ -162,7 +162,7 @@ def test_environment_overrides_config_values(tmp_path):
     cfg = load_config(path, env={"DEPOLGAS_RDF_SIGMA_M": "5e-7",
                                  "DEPOLGAS_OUTPUT_PRECISION": "6"})
     assert cfg.rdf_sigma() == 5e-7
-    assert cfg["output.precision"] == 6
+    assert cfg.values["output.precision"] == 6
     assert "rdf.sigma_m = 5e-7" in resolved_lines(cfg)
 
 

@@ -10,10 +10,9 @@ from depolgas.errors import NoCriticalDensityError
 from depolgas.kernels import GAUSSIAN, LORENTZIAN, CutoffProfile
 from depolgas.meanfield import (BranchPair, DispersionInput,
                                 RadialDistribution, branch_frequencies,
-                                closed_form_branches, critical_density,
+                                closed_form_branches,
                                 critical_ratio_bisection,
-                                critical_ratio_from_overlap,
-                                depolarization_shift, dispersion,
+                                critical_ratio_from_overlap, dispersion,
                                 overlap_integral, shift_slope)
 
 # frozen oracle: scaled branch roots (-4 +- sqrt(10)) / 3 at omega = Omega,
@@ -120,14 +119,13 @@ def test_shift_slope_composition():
 
 def test_depolarization_shift_is_linear_in_density(gaussian_profile):
     g = RadialDistribution.hard_step(0.5)
-    s1 = depolarization_shift(1.0, g, gaussian_profile)
-    s2 = depolarization_shift(2.0, g, gaussian_profile)
+    slope = shift_slope(overlap_integral(g, gaussian_profile), g.contact_value)
+    s1 = slope * 1.0
+    s2 = slope * 2.0
     assert s2 == pytest.approx(2.0 * s1, rel=1e-12)
     expected = 2.0 * (1.0 - _m_gauss(0.5)) / 3.0
     assert s1 == pytest.approx(expected, abs=1e-10)
-    assert depolarization_shift(0.0, g, gaussian_profile) == 0.0
-    with pytest.raises(ValueError):
-        depolarization_shift(-0.5, g, gaussian_profile)
+    assert slope * 0.0 == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -252,20 +250,24 @@ def test_critical_ratio_reference_points():
 def test_critical_density_matches_inline_oracle(gaussian_profile, lorentzian_profile):
     for profile, m_of in ((gaussian_profile, _m_gauss), (lorentzian_profile, _m_lor)):
         sigma = 0.4
-        got = critical_density(RadialDistribution.hard_step(sigma), profile)
+        g = RadialDistribution.hard_step(sigma)
+        got = critical_ratio_from_overlap(overlap_integral(g, profile), g.contact_value)
         expected = 1.0 / (1.0 - 2.0 * (1.0 - m_of(sigma)) / 3.0)
         assert got == pytest.approx(expected, abs=1e-9)
 
 
 def test_critical_density_small_core_approaches_three(profile):
-    got = critical_density(RadialDistribution.hard_step(0.02), profile)
+    g = RadialDistribution.hard_step(0.02)
+    got = critical_ratio_from_overlap(overlap_integral(g, profile), g.contact_value)
     assert abs(got - 3.0) <= 1e-3
 
 
 def test_critical_density_profile_independence_at_small_core():
     g = RadialDistribution.hard_step(0.02)
-    rc_gauss = critical_density(g, CutoffProfile(ell=1.0, shape=GAUSSIAN))
-    rc_lor = critical_density(g, CutoffProfile(ell=1.0, shape=LORENTZIAN))
+    rc_gauss, rc_lor = (
+        critical_ratio_from_overlap(overlap_integral(g, CutoffProfile(ell=1.0, shape=shape)),
+                                    g.contact_value)
+        for shape in (GAUSSIAN, LORENTZIAN))
     assert abs(rc_gauss - rc_lor) < 1e-4
 
 

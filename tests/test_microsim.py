@@ -17,12 +17,16 @@ from depolgas.kernels import GAUSSIAN, LORENTZIAN, CutoffProfile, contact_scalar
 from depolgas.meanfield import DispersionInput, branch_frequencies
 from depolgas import microsim
 from depolgas.microsim import (_MAX_MATRIX_DIM, Configuration, ModeBasis,
-                               ScanGeometry, assemble_dynamical_matrix,
+                               assemble_dynamical_matrix,
                                build_mode_basis, check_scan_separation,
                                minimal_eigenvalue, minimum_image,
                                sample_configuration, stability_scan)
 
 _PROFILE = CutoffProfile(ell=ELL, shape=GAUSSIAN)
+# keyword settings of the test scans: few replicas and probes keep them
+# fast, and the core gate admits the test species' core of 1.15 ell
+_SCAN_KNOBS = dict(replicas=4, master_seed=7, bisect_steps=6,
+                   include_contact=True, min_ell_over_core=0.8)
 
 # frozen oracle: finite-wavevector depolarization slope for a gaussian
 # profile and hard core sigma = 1.15 ell, by independent radial quadrature;
@@ -464,8 +468,8 @@ def _single_mode_basis(basis: ModeBasis, index: int) -> ModeBasis:
                                amplitude=basis.amplitude[sel])
 
 
-def _shell_basis(basis: ModeBasis, m_norm2: int) -> ModeBasis:
-    base = 2.0 * math.pi / basis.box_length
+def _shell_basis(basis: ModeBasis, box_length: float, m_norm2: int) -> ModeBasis:
+    base = 2.0 * math.pi / box_length
     m2 = np.rint(np.einsum("mc,mc->m", basis.k, basis.k) / base**2).astype(int)
     sel = np.flatnonzero(m2 == m_norm2)
     return dataclasses.replace(basis, k=basis.k[sel], pol=basis.pol[sel],
@@ -575,11 +579,10 @@ def test_dynamical_matrix_dimension_guard():
     # the scan refuses before sampling: the densest grid point alone holds
     # more atoms than the guard allows (and far more than fit the box)
     species = synthetic_species()
-    geometry = ScanGeometry(ell=ELL, box_over_ell=8.0, lambda_min_over_ell=6.0)
-    too_many = (_MAX_MATRIX_DIM // 3 + 1) / geometry.box_length**3
+    too_many = (_MAX_MATRIX_DIM // 3 + 1) / (8.0 * ELL) ** 3
     with pytest.raises(ConfigError, match="exceeds the guard"):
         stability_scan([0.5 * dicke_density(species), too_many], species,
-                       _PROFILE, geometry, min_ell_over_core=0.8)
+                       _PROFILE, 8.0 * ELL, 6.0 * ELL, **_SCAN_KNOBS)
 
 
 def test_single_atom_matches_two_level_mean_field():
@@ -648,7 +651,7 @@ def _measured_shell_threshold(m_norm2: int, grid: np.ndarray, seed: int) -> floa
     box = 8.0 * ELL
     species = synthetic_species()
     n_dicke = dicke_density(species)
-    basis = _shell_basis(build_mode_basis(box, 4.0 * ELL), m_norm2)
+    basis = _shell_basis(build_mode_basis(box, 4.0 * ELL), box, m_norm2)
     means = []
     for i, rho in enumerate(grid):
         eigs = []
@@ -686,33 +689,32 @@ def test_shell_thresholds_follow_finite_k_suppression():
 
 
 # ---------------------------------------------------------------------------
-# scan geometry and the density scan
-
-
-def test_scan_geometry_lengths():
-    geo = ScanGeometry(ell=ELL, box_over_ell=8.0, lambda_min_over_ell=6.0)
-    assert geo.box_length == 8.0 * ELL
-    assert geo.lambda_min == 6.0 * ELL
+# the density scan
 
 
 def test_check_scan_separation_gates():
     species = synthetic_species()  # core = 1.15 ell
-    geo = ScanGeometry(ell=ELL, box_over_ell=8.0, lambda_min_over_ell=6.0)
     with pytest.raises(ScaleSeparationError, match="ell >="):
-        check_scan_separation(species, geo)  # default factor 4 on the core
-    check_scan_separation(species, geo, min_ell_over_core=0.8)
-    tight = ScanGeometry(ell=ELL, box_over_ell=8.0, lambda_min_over_ell=2.0)
+        check_scan_separation(species, ELL, 6.0 * ELL, 4.0)
+    check_scan_separation(species, ELL, 6.0 * ELL, 0.8)
     with pytest.raises(ScaleSeparationError, match="lambda_min >="):
-        check_scan_separation(species, tight, min_ell_over_core=0.8)
+        check_scan_separation(species, ELL, 2.0 * ELL, 0.8)
+    # ell = factor * core and lambda_min = 4 ell both pass; the default
+    # microsim.lambda_min_over_ell = 4.0 sits exactly on the second bound
+    core = synthetic_species(core_diameter_over_ell=0.25)
+    check_scan_separation(core, ELL, 4.0 * ELL, 4.0)
+    with pytest.raises(ScaleSeparationError, match="ell >="):
+        check_scan_separation(core, ELL, 4.0 * ELL, 4.0 * (1.0 + 1e-12))
+    with pytest.raises(ScaleSeparationError, match="lambda_min >="):
+        check_scan_separation(core, ELL, 4.0 * ELL * (1.0 - 1e-12), 4.0)
 
 
 def _smoke_scan(master_seed: int = 7, densities=(0.25, 0.5, 1.0)):
     species = synthetic_species()
     n_dicke = dicke_density(species)
-    geometry = ScanGeometry(ell=ELL, box_over_ell=8.0, lambda_min_over_ell=6.0)
+    knobs = dict(_SCAN_KNOBS, master_seed=master_seed)
     return stability_scan([r * n_dicke for r in densities], species, _PROFILE,
-                          geometry, replicas=4, master_seed=master_seed,
-                          bisect_steps=6, min_ell_over_core=0.8), n_dicke
+                          8.0 * ELL, 6.0 * ELL, **knobs), n_dicke
 
 
 def test_stability_scan_brackets_a_threshold(capsys):
@@ -757,14 +759,15 @@ def test_stability_scan_without_crossing_reports_none():
 
 def test_stability_scan_validation():
     species = synthetic_species()
-    geometry = ScanGeometry(ell=ELL, box_over_ell=8.0, lambda_min_over_ell=6.0)
-    other = CutoffProfile(ell=2.0 * ELL, shape=GAUSSIAN)
-    with pytest.raises(ConfigError):
-        stability_scan([1.0], species, other, geometry, min_ell_over_core=0.8)
+    lengths = (8.0 * ELL, 6.0 * ELL)
     with pytest.raises(ValueError):
-        stability_scan([], species, _PROFILE, geometry, min_ell_over_core=0.8)
+        stability_scan([], species, _PROFILE, *lengths, **_SCAN_KNOBS)
     with pytest.raises(ValueError):
-        stability_scan([-1.0], species, _PROFILE, geometry, min_ell_over_core=0.8)
+        stability_scan([-1.0], species, _PROFILE, *lengths, **_SCAN_KNOBS)
     with pytest.raises(ValueError):
-        stability_scan([1.0], species, _PROFILE, geometry, replicas=0,
-                       min_ell_over_core=0.8)
+        stability_scan([1.0], species, _PROFILE, *lengths,
+                       **dict(_SCAN_KNOBS, replicas=0))
+    # the lambda_min gate reads ell from the profile
+    with pytest.raises(ScaleSeparationError, match="lambda_min >="):
+        stability_scan([1.0], species, CutoffProfile(ell=2.0 * ELL, shape=GAUSSIAN),
+                       *lengths, **_SCAN_KNOBS)
