@@ -6,10 +6,10 @@ artifacts: ``<command>.csv``, ``resolved_config.txt`` and ``manifest.txt``.
 CSV bodies are deterministic for a fixed config and seed on one machine,
 numpy/scipy build and BLAS thread count; the manifest additionally records
 the BLAS thread variables and wall time, which is excluded from the
-determinism contract; ``microsim`` adds its bisection probes and its
-per-phase timings there, and the commands that integrate (all but
-``microsim``) add the worst gated quadrature error and the time spent in
-quadrature.
+determinism contract; ``microsim`` adds its bisection probes, the size of
+its largest matrix and its per-phase timings there, and the commands that
+integrate (all but ``microsim``) add the worst gated quadrature error and
+the time spent in quadrature.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence,
 4 infeasible sampling.
@@ -259,9 +259,14 @@ def _cmd_microsim(cfg: RunConfig, args, errors: _RowErrors):
     # the bisection probes in the order they ran: density over n_D, mean
     probes = tuple(f"probe.{k} = {_fmt(density / n_dicke, p)} {_fmt(mean, p)}"
                    for k, (density, mean) in enumerate(report.probes, 1))
+    # the largest solve of the scan: no probe holds more atoms than the
+    # densest grid point, and (a, b) is all of its float64 matrix storage
+    n3 = 3 * int(report.atoms_per_density.max())
+    sizes = (f"matrix_dim_max = {n3 + report.n_modes}",
+             f"matrix_bytes_max = {8 * n3 * (n3 + report.n_modes)}")
     timings = tuple(f"phase_s.{phase} = {seconds:.3f}  # excluded from determinism"
                     for phase, seconds in report.phase_s.items())
-    return _Output(header, rows, footer, probes + timings)
+    return _Output(header, rows, footer, probes + sizes + timings)
 
 
 _COMMANDS = {

@@ -93,6 +93,11 @@ def gamma_r(profile: CutoffProfile, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("radius r must be non-negative")
+    return _gamma_of_r(profile, r)
+
+
+def _gamma_of_r(profile: CutoffProfile, r):
+    """Gamma at r >= 0, on an array or on one float, without checking r."""
     ell = profile.ell
     if profile.shape == GAUSSIAN:
         return (4.0 * math.pi * ell * ell) ** -1.5 * np.exp(-r * r / (4.0 * ell * ell))
@@ -281,6 +286,6 @@ def contact_scalars(profile: CutoffProfile, r):
     if np.any(r <= 0.0):
         raise ValueError("contact_scalars requires strictly positive radii")
     remainder = 1.0 - enclosed_fraction(profile, r)
-    ut = gamma_r(profile, r) + remainder / (4.0 * math.pi * r**3)
+    ut = _gamma_of_r(profile, r) + remainder / (4.0 * math.pi * r**3)
     ul = -remainder / (2.0 * math.pi * r**3)
     return ut, ul

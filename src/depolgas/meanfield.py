@@ -29,7 +29,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import BracketingError, NoCriticalDensityError, QuadratureConvergenceError
-from .kernels import CutoffProfile, enclosed_fraction, gamma_r, log_quadrature
+from .kernels import CutoffProfile, _gamma_of_r, enclosed_fraction, log_quadrature
 
 IDEAL = "ideal"
 HARD_STEP = "hard_step"
@@ -108,6 +108,10 @@ class RadialDistribution:
         r = np.asarray(r, dtype=float)
         if np.any(r < 0.0):
             raise ValueError("radius r must be non-negative")
+        return self._value(r)
+
+    def _value(self, r):
+        """g at r >= 0, on an array or on one float, without checking r."""
         if self.model == IDEAL:
             return np.ones_like(r)
         if self.model == HARD_STEP:
@@ -142,8 +146,9 @@ def overlap_integral(g: RadialDistribution, profile: CutoffProfile) -> float:
     # 30 ell covers the slowest built-in Gamma tail to below 1e-12
     r_cut = max(30.0 * profile.ell, 2.0 * edge)
 
+    # quad passes one float r in [0, r_cut] per call: no checks needed
     def integrand(r):
-        return 4.0 * math.pi * r * r * float(g.evaluate(r)) * float(gamma_r(profile, r))
+        return 4.0 * math.pi * r * r * float(g._value(r)) * float(_gamma_of_r(profile, r))
 
     # break at the support edge and, for tables, at every interpolation kink
     knots = tuple(g.table_r) if g.model == TABULATED else (edge,)

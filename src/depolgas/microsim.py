@@ -40,6 +40,8 @@ _MIN_BLOCK = 64            # fewest trials drawn at once
 # and the exact minimum-image test differ only by rounding
 _SEARCH_SLACK = 1.001
 _MAX_MATRIX_DIM = 8000
+# i < j pairs assembled at once; bounds the pair-length arrays of an assembly
+_PAIR_CHUNK = 1 << 12
 _MIN_LAMBDA_OVER_ELL = 4.0  # ell << lambda_min
 
 
@@ -214,45 +216,54 @@ def build_mode_basis(box_length: float, lambda_min: float) -> ModeBasis:
 
 
 def assemble_dynamical_matrix(config: Configuration, basis: ModeBasis,
-                              species: AtomSpecies, profile: CutoffProfile,
-                              include_contact: bool = True
+                              species: AtomSpecies, profile: CutoffProfile, *,
+                              include_contact: bool
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Blocks (a, b, d) of the dynamical matrix [[a, b], [b^T, diag(d)]].
 
     ``a`` is the 3N x 3N atom block, ``b`` the 3N x M atom-mode coupling and
     ``d`` = Omega^2 the diagonal of the mode block (values in (rad/s)^2).
+    ``a`` is the only array of the call whose size grows as N^2.
     """
     pos = config.positions
     n = config.n_atoms
+    n3 = 3 * n
     omega = species.omega
-    a = np.zeros((3 * n, 3 * n))
+    a = np.zeros((n3, n3))
 
     # atom-atom: omega^2 on the diagonal plus the contact kernel on pairs.
     # Minimum-image differences are exactly antisymmetric, so the i < j
-    # pairs give every block; each of the 6 unique (i, j) components goes
-    # through one symmetric (n, n) buffer into the strided view of its rows
-    # i::3 and columns j::3
+    # pairs give every block.  They are taken in row-major order, _PAIR_CHUNK
+    # at a time; each of the 6 unique (alpha, beta) components of a chunk is
+    # scattered into both triangles of the flat matrix, at 3 (i 3N + j) +
+    # (alpha 3N + beta) and at the transposed offsets
     if include_contact and n > 1:
-        iu, ju = np.triu_indices(n, 1)
-        diff = minimum_image(np.take(pos, iu, axis=0) - np.take(pos, ju, axis=0),
-                             config.box_length)
-        r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        ut, ul = contact_scalars(profile, r)
-        dl = ul - ut
-        rhat = np.ascontiguousarray((diff / r[:, None]).T)
         coupling = 2.0 * species.dipole**2 * omega / (CODATA.hbar * CODATA.epsilon0)
-        buffer = np.zeros((n, n))
-        flat = buffer.reshape(-1)
-        upper, lower = iu * n + ju, ju * n + iu
-        for i in range(3):
-            for j in range(i, 3):
-                delta = 1.0 if i == j else 0.0
-                flat[upper] = flat[lower] = coupling * (
-                    ut * delta + dl * (rhat[i] * rhat[j]))
-                a[i::3, j::3] = buffer
-                if i != j:
-                    a[j::3, i::3] = buffer
-    a[np.diag_indices(3 * n)] += omega * omega
+        flat = a.reshape(-1)
+        rows = np.arange(n - 1)
+        row_start = rows * (2 * n - rows - 1) // 2  # index of the pair (i, i + 1)
+        n_pairs = n * (n - 1) // 2
+        for first in range(0, n_pairs, _PAIR_CHUNK):
+            pair = np.arange(first, min(first + _PAIR_CHUNK, n_pairs))
+            i = np.searchsorted(row_start, pair, side="right") - 1
+            j = pair - row_start[i] + i + 1
+            diff = minimum_image(np.take(pos, i, axis=0) - np.take(pos, j, axis=0),
+                                 config.box_length)
+            r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            ut, ul = contact_scalars(profile, r)
+            dl = ul - ut
+            rhat = np.ascontiguousarray((diff / r[:, None]).T)
+            upper, lower = 3 * (i * n3 + j), 3 * (j * n3 + i)
+            for alpha in range(3):
+                for beta in range(alpha, 3):
+                    delta = 1.0 if alpha == beta else 0.0
+                    value = coupling * (ut * delta + dl * (rhat[alpha] * rhat[beta]))
+                    # a view starting at the component's offset takes the
+                    # pair offsets as they are
+                    for offset in {alpha * n3 + beta, beta * n3 + alpha}:
+                        component = flat[offset:]
+                        component[upper] = component[lower] = value
+    a[np.diag_indices(n3)] += omega * omega
 
     # atom-mode: d sqrt(omega Omega) / (hbar eps0) * f_nu(x_j)
     phase = pos @ basis.k.T
@@ -267,23 +278,29 @@ def assemble_dynamical_matrix(config: Configuration, basis: ModeBasis,
 def minimal_eigenvalue(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> float:
     """Smallest eigenvalue of the dynamical matrix [[a, b], [b^T, diag(d)]].
 
-    Overwrites ``a`` with the Schur complement.  The mode block d = Omega^2
-    is some 1e11 times the atom scale omega^2, so a dense solve of the whole
-    matrix resolves the small eigenvalues only to eps * Omega^2.  Eliminating
-    the modes exactly leaves the atom-scale Schur complement S = a - b d^-1
-    b^T, whose lowest eigenpair (lambda_S, v) Lanczos finds to eps * ||S||.
-    The eigenvalues of the full matrix below min(d) solve lambda =
-    lambda_min(a - b (d - lambda)^-1 b^T); one first-order step of that
-    secular equation from lambda_S, with x = b^T v, gives lambda to
-    rounding, because the step is of relative size omega^2 / Omega^2.
-    Raises EigensolverConvergenceError when Lanczos does not converge.
+    Overwrites ``a`` (C-ordered, as assembled) with the Schur complement.
+    The mode block d = Omega^2 is some 1e11 times the atom scale omega^2, so
+    a dense solve of the whole matrix resolves the small eigenvalues only to
+    eps * Omega^2.  Eliminating the modes exactly leaves the atom-scale Schur
+    complement S = a - b d^-1 b^T, whose lowest eigenpair (lambda_S, v)
+    Lanczos finds to eps * ||S||.  One dgemm forms S in place, so no second
+    3N x 3N array is allocated; it is the transposed-first call numpy makes
+    for (b / d) @ b.T, and at one BLAS thread gives the same bytes (at more
+    threads the last bits differ).  The eigenvalues of the full matrix below
+    min(d) solve lambda = lambda_min(a - b (d - lambda)^-1 b^T); one
+    first-order step of that secular equation from lambda_S, with x = b^T v,
+    gives lambda to rounding, because the step is of relative size
+    omega^2 / Omega^2.  Raises EigensolverConvergenceError when Lanczos does
+    not converge.
     """
     n3 = a.shape[0]
-    a -= (b / d) @ b.T
-    # Lanczos time is all matvecs: a symmetric one reads half of the matrix,
-    # and a.T is the Fortran-ordered view BLAS takes without a copy
-    op = LinearOperator(a.shape, dtype=a.dtype,
-                        matvec=lambda x: blas.dsymv(1.0, a.T, x))
+    # a C-ordered a is, as a.T, the Fortran-ordered array BLAS updates in
+    # place; BLAS copies an a of any other layout and leaves it as it was
+    s = blas.dgemm(-1.0, b.T, (b / d).T, beta=1.0, c=a.T, trans_a=1,
+                   overwrite_c=1).T
+    # Lanczos time is all matvecs: a symmetric one reads half of the matrix
+    op = LinearOperator(s.shape, dtype=s.dtype,
+                        matvec=lambda x: blas.dsymv(1.0, s.T, x))
     # a fixed start vector keeps the solve, and so the CSV, deterministic
     v0 = np.random.default_rng(0).standard_normal(n3)
     try:
@@ -311,6 +328,7 @@ class StabilityReport:
     unstable_fraction: np.ndarray
     atoms_per_density: np.ndarray
     replicas: int
+    n_modes: int                   # M, the mode rows of every matrix of the scan
     threshold_low: float | None = None   # 1/m^3
     threshold_high: float | None = None
     probes: list = field(default_factory=list)
@@ -352,6 +370,8 @@ def _replica_eigs(density: float, box_length: float, basis: ModeBasis,
         t2 = time.perf_counter()
         eigs[j] = minimal_eigenvalue(a, b, d)
         t3 = time.perf_counter()
+        # else the next replica's atom block is assembled while this one lives
+        del a, b, d
         phase["sample"] += t1 - t0
         phase["assemble"] += t2 - t1
         phase["eig"] += t3 - t2
@@ -399,7 +419,8 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
     atoms = np.empty(densities.size, dtype=int)
     report = StabilityReport(density_grid=densities, min_eig_mean=mean,
                              min_eig_std=std, unstable_fraction=frac,
-                             atoms_per_density=atoms, replicas=replicas)
+                             atoms_per_density=atoms, replicas=replicas,
+                             n_modes=basis.n_modes)
     n_dicke = dicke_density(species)
     started = time.perf_counter()
     for i, density in enumerate(densities):

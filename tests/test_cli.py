@@ -268,13 +268,17 @@ def test_microsim_manifest_records_the_bisection_probes(tmp_path):
            "microsim.density_ratios": "0.25,0.5,1.0",
            "microsim.replicas": "2",
            "microsim.bisect_steps": "4"}))
-    probes = []
+    probes, sizes = [], []
     for name in ("a", "b"):
         assert main(["microsim", "--config", cfg, "--out", str(tmp_path / name)]) == 0
-        probes.append([line for line in
-                       (tmp_path / name / "manifest.txt").read_text().splitlines()
-                       if line.startswith("probe.")])
+        lines = (tmp_path / name / "manifest.txt").read_text().splitlines()
+        probes.append([line for line in lines if line.startswith("probe.")])
+        sizes.append([line for line in lines if line.startswith("matrix_")])
     assert probes[0] == probes[1]
+    # the densest grid point holds 84 atoms, and the box keeps the 12 modes
+    # of the |m| = 1 shell: a is 252 x 252 and b is 252 x 12
+    assert sizes[0] == sizes[1] == ["matrix_dim_max = 264",
+                                    f"matrix_bytes_max = {8 * 252 * 264}"]
     assert [line.split(" = ")[0] for line in probes[0]] == [
         f"probe.{k}" for k in (1, 2, 3, 4)]
     # each probe halves the bracket it was taken in, on the side of its sign

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,7 +149,11 @@ def _reference_minimal_eigenvalue(matrix: np.ndarray, n_modes: int) -> float:
     Oracle for the block solver, which must return the same float.
     """
     a, b, d = _blocks(matrix, n_modes)
-    schur = a - (b / d) @ b.T
+    # the solver's in-place BLAS update, on a copy of the dense slice: at more
+    # than one BLAS thread its last bits differ from a - (b / d) @ b.T
+    schur = a.copy()
+    linalg.blas.dgemm(-1.0, b.T, (b / d).T, beta=1.0, c=schur.T, trans_a=1,
+                      overwrite_c=1)
     op = LinearOperator(schur.shape, dtype=schur.dtype,
                         matvec=lambda x: linalg.blas.dsymv(1.0, schur.T, x))
     v0 = np.random.default_rng(0).standard_normal(schur.shape[0])
@@ -431,7 +436,8 @@ def test_mode_field_matches_direct_evaluation():
             assert np.allclose(field[nu, p], expected, rtol=1e-13, atol=0.0)
 
     cfg = Configuration(box_length=box, positions=pos)
-    _, b, _ = assemble_dynamical_matrix(cfg, basis, species, _PROFILE)
+    _, b, _ = assemble_dynamical_matrix(cfg, basis, species, _PROFILE,
+                                        include_contact=True)
     coupling = (species.dipole * np.sqrt(species.omega * basis.Omega)
                 / (CODATA.hbar * CODATA.epsilon0))
     expected = coupling[:, None, None] * field               # (M, P, 3)
@@ -481,7 +487,8 @@ def test_dynamical_matrix_is_exactly_symmetric():
     density = 1.0 * ND_PER_ELL3 / ELL**3
     cfg = sample_configuration(density, 8.0 * ELL, 1.15 * ELL, seed=3)
     basis = build_mode_basis(8.0 * ELL, 6.0 * ELL)
-    a, b, d = assemble_dynamical_matrix(cfg, basis, synthetic_species(), _PROFILE)
+    a, b, d = assemble_dynamical_matrix(cfg, basis, synthetic_species(), _PROFILE,
+                                        include_contact=True)
     assert a.shape == (3 * cfg.n_atoms,) * 2
     assert b.shape == (3 * cfg.n_atoms, basis.n_modes)
     assert d.shape == (basis.n_modes,)
@@ -497,7 +504,8 @@ def test_dynamical_matrix_matches_the_dense_pair_tensor(box_over_ell, rho, shape
     cfg = sample_configuration(rho * ND_PER_ELL3 / ELL**3, box,
                                species.core_diameter, seed=(29, 0))
     basis = build_mode_basis(box, 0.75 * box)
-    blocks = assemble_dynamical_matrix(cfg, basis, species, profile)
+    blocks = assemble_dynamical_matrix(cfg, basis, species, profile,
+                                       include_contact=True)
     expected = _reference_matrix(cfg, basis, species, profile)
     _assert_matches_the_dense_matrix(blocks, expected, basis.n_modes)
 
@@ -514,6 +522,33 @@ def test_dynamical_matrix_matches_the_dense_pair_tensor_without_a_core_or_contac
                                        include_contact=include_contact)
     expected = _reference_matrix(cfg, basis, species, _PROFILE, include_contact)
     _assert_matches_the_dense_matrix(blocks, expected, basis.n_modes)
+
+
+@pytest.mark.parametrize("shape", [GAUSSIAN, LORENTZIAN])
+def test_pair_chunks_tile_the_contact_block_exactly(monkeypatch, shape):
+    # 51 atoms give 1275 pairs, not a multiple of 7: the last chunk is short
+    species = synthetic_species()
+    profile = CutoffProfile(ell=ELL, shape=shape)
+    box = 8.0 * ELL
+    cfg = sample_configuration(0.6 * ND_PER_ELL3 / ELL**3, box,
+                               species.core_diameter, seed=(29, 2))
+    n_pairs = cfg.n_atoms * (cfg.n_atoms - 1) // 2
+    assert n_pairs == 1275 and n_pairs % 7 != 0
+    basis = build_mode_basis(box, 6.0 * ELL)
+    expected = _reference_matrix(cfg, basis, species, profile)[: 3 * cfg.n_atoms,
+                                                               : 3 * cfg.n_atoms]
+    for chunk in (1, 7, n_pairs + 1):
+        monkeypatch.setattr(microsim, "_PAIR_CHUNK", chunk)
+        a, _, _ = assemble_dynamical_matrix(cfg, basis, species, profile,
+                                            include_contact=True)
+        assert a.tobytes() == expected.tobytes(), chunk
+
+
+def test_include_contact_has_no_default():
+    cfg = Configuration(box_length=8.0 * ELL, positions=np.zeros((1, 3)))
+    basis = build_mode_basis(8.0 * ELL, 6.0 * ELL)
+    with pytest.raises(TypeError, match="include_contact"):
+        assemble_dynamical_matrix(cfg, basis, synthetic_species(), _PROFILE)
 
 
 def test_dynamical_matrix_without_contact_is_block_diagonal_plus_coupling():
@@ -537,12 +572,14 @@ def test_dynamical_matrix_decouples_at_vanishing_dipole():
     cfg = sample_configuration(density, 8.0 * ELL, 1.15 * ELL, seed=4)
     basis = build_mode_basis(8.0 * ELL, 6.0 * ELL)
     feeble = dataclasses.replace(synthetic_species(), dipole=1e-45)
-    a, b, d = assemble_dynamical_matrix(cfg, basis, feeble, _PROFILE)
+    a, b, d = assemble_dynamical_matrix(cfg, basis, feeble, _PROFILE,
+                                        include_contact=True)
     off_diag = a - feeble.omega**2 * np.eye(3 * cfg.n_atoms)
     assert np.max(np.abs(off_diag)) <= 1e-12 * feeble.omega**2
     assert np.array_equal(d, basis.Omega**2)
     halved = dataclasses.replace(feeble, dipole=0.5e-45)
-    _, b_half, _ = assemble_dynamical_matrix(cfg, basis, halved, _PROFILE)
+    _, b_half, _ = assemble_dynamical_matrix(cfg, basis, halved, _PROFILE,
+                                             include_contact=True)
     assert np.array_equal(b_half, 0.5 * b)
     assert minimal_eigenvalue(a, b, d) == pytest.approx(feeble.omega**2, rel=1e-12)
 
@@ -569,9 +606,81 @@ def test_minimal_eigenvalue_matches_the_secular_fixed_point(rho):
     basis = build_mode_basis(8.0 * ELL, 6.0 * ELL)
     cfg = sample_configuration(rho * ND_PER_ELL3 / ELL**3, 8.0 * ELL,
                                species.core_diameter, seed=(17, 0))
-    a, b, d = assemble_dynamical_matrix(cfg, basis, species, _PROFILE)
+    a, b, d = assemble_dynamical_matrix(cfg, basis, species, _PROFILE,
+                                        include_contact=True)
     reference = _secular_fixed_point(a, b, d)  # before a is overwritten
     assert minimal_eigenvalue(a, b, d) == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("box_over_ell, rho", _GEOMETRIES[:3])
+def test_schur_complement_is_formed_in_place_to_rounding(box_over_ell, rho):
+    # the in-place BLAS update may round differently from the out-of-place
+    # product (it does at two BLAS threads), but only by a few ulps of the
+    # terms it sums
+    species = synthetic_species()
+    box = box_over_ell * ELL
+    cfg = sample_configuration(rho * ND_PER_ELL3 / ELL**3, box,
+                               species.core_diameter, seed=(29, 0))
+    a, b, d = assemble_dynamical_matrix(cfg, build_mode_basis(box, 0.75 * box),
+                                        species, _PROFILE, include_contact=True)
+    before = a.copy()
+    minimal_eigenvalue(a, b, d)  # overwrites a with the Schur complement
+    scale = np.abs(before) + np.abs(b / d) @ np.abs(b).T
+    error = np.abs(a - (before - (b / d) @ b.T))
+    assert np.all(error <= 16.0 * np.finfo(float).eps * scale)
+
+
+def test_minimal_eigenvalue_of_a_strided_atom_block_leaves_it_as_it_was():
+    # BLAS updates only a C-ordered atom block in place; a slice of the dense
+    # matrix is copied, and the solve still returns the oracle's float
+    species = synthetic_species()
+    box = 8.0 * ELL
+    cfg = sample_configuration(1.0 * ND_PER_ELL3 / ELL**3, box,
+                               species.core_diameter, seed=(29, 3))
+    basis = build_mode_basis(box, 6.0 * ELL)
+    matrix = _reference_matrix(cfg, basis, species, _PROFILE)
+    before = matrix.copy()
+    got = minimal_eigenvalue(*_blocks(matrix, basis.n_modes))
+    assert got == _reference_minimal_eigenvalue(before, basis.n_modes)
+    assert matrix.tobytes() == before.tobytes()
+
+
+def test_a_solve_holds_one_atom_block_beyond_its_inputs():
+    # the largest geometry, N = 946: the pair chunks and the in-place Schur
+    # complement leave a as the only array that grows as N^2
+    species = synthetic_species()
+    box = 16.0 * ELL
+    cfg = sample_configuration(1.4 * ND_PER_ELL3 / ELL**3, box,
+                               species.core_diameter, seed=(29, 0))
+    assert cfg.n_atoms == 946
+    basis = build_mode_basis(box, 0.75 * box)
+    tracemalloc.start()
+    try:
+        a, b, d = assemble_dynamical_matrix(cfg, basis, species, _PROFILE,
+                                            include_contact=True)
+        minimal_eigenvalue(a, b, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= a.nbytes + b.nbytes + 16 * 2**20
+
+
+def test_a_scan_frees_each_replica_before_the_next_assembly():
+    # the ladder's largest rung at its densest point, N = 499, two replicas:
+    # holding a replica's blocks through the next assembly doubles the peak
+    species = synthetic_species()
+    box = 12.0 * ELL
+    density = 1.75 * dicke_density(species)
+    n3 = 3 * int(round(density * box**3))
+    tracemalloc.start()
+    try:
+        stability_scan([density], species, _PROFILE, box, 9.0 * ELL,
+                       **dict(_SCAN_KNOBS, replicas=2, bisect_steps=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n3 == 1497
+    assert peak <= 8 * n3 * n3 + 4 * 2**20
 
 
 
@@ -601,8 +710,8 @@ def test_single_atom_matches_two_level_mean_field():
     x0[axis] = (math.pi / 4.0) / kvec[axis]
     cfg = Configuration(box_length=box, positions=x0[None, :])
 
-    measured = minimal_eigenvalue(*assemble_dynamical_matrix(cfg, single, species,
-                                                             _PROFILE))
+    measured = minimal_eigenvalue(*assemble_dynamical_matrix(
+        cfg, single, species, _PROFILE, include_contact=True))
 
     c0 = math.cos(float(x0 @ kvec))
     rho_eff = (2.0 * c0 * c0 / box**3) / dicke_density(species)
@@ -629,8 +738,8 @@ def test_dilute_lattice_matches_mean_field_density():
     assert basis.n_modes == 12  # the |m| = 1 shell only
 
     cfg = Configuration(box_length=box, positions=positions)
-    measured = minimal_eigenvalue(*assemble_dynamical_matrix(cfg, basis, species,
-                                                             profile))
+    measured = minimal_eigenvalue(*assemble_dynamical_matrix(
+        cfg, basis, species, profile, include_contact=True))
 
     pair = branch_frequencies(DispersionInput(
         omega=species.omega, Omega=float(basis.Omega[0]), density_ratio=0.5))
@@ -658,8 +767,8 @@ def _measured_shell_threshold(m_norm2: int, grid: np.ndarray, seed: int) -> floa
         for j in range(6):
             cfg = sample_configuration(rho * n_dicke, box, species.core_diameter,
                                        seed=(seed, i, j))
-            eigs.append(minimal_eigenvalue(
-                *assemble_dynamical_matrix(cfg, basis, species, _PROFILE)))
+            eigs.append(minimal_eigenvalue(*assemble_dynamical_matrix(
+                cfg, basis, species, _PROFILE, include_contact=True)))
         means.append(np.mean(eigs))
     means = np.asarray(means)
     sign_change = np.flatnonzero((means[:-1] > 0.0) & (means[1:] <= 0.0))
