@@ -7,9 +7,10 @@ CSV bodies are deterministic for a fixed config and seed on one machine,
 numpy/scipy build and BLAS thread count; the manifest additionally records
 the BLAS thread variables and wall time, which is excluded from the
 determinism contract; ``microsim`` adds its bisection probes, the size of
-its largest matrix and its per-phase timings there, and the commands that
-integrate (all but ``microsim``) add the worst gated quadrature error and
-the time spent in quadrature.
+its largest matrix, its Lanczos matvec count and largest residual, and its
+per-phase timings there, and the commands that integrate (all but
+``microsim``) add the worst gated quadrature error and the time spent in
+quadrature.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence,
 4 infeasible sampling.
@@ -264,9 +265,13 @@ def _cmd_microsim(cfg: RunConfig, args, errors: _RowErrors):
     n3 = 3 * int(report.atoms_per_density.max())
     sizes = (f"matrix_dim_max = {n3 + report.n_modes}",
              f"matrix_bytes_max = {8 * n3 * (n3 + report.n_modes)}")
+    # what the scan's solves took and how far their Ritz pairs are from exact
+    lanczos = (f"lanczos_matvecs = {report.lanczos_matvecs}",
+               "lanczos_residual_max_over_omega2 = "
+               f"{_fmt(report.lanczos_residual_max / species.omega**2, p)}")
     timings = tuple(f"phase_s.{phase} = {seconds:.3f}  # excluded from determinism"
                     for phase, seconds in report.phase_s.items())
-    return _Output(header, rows, footer, probes + sizes + timings)
+    return _Output(header, rows, footer, probes + sizes + lanczos + timings)
 
 
 _COMMANDS = {

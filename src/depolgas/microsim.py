@@ -22,6 +22,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import blas
@@ -43,6 +44,9 @@ _MAX_MATRIX_DIM = 8000
 # i < j pairs assembled at once; bounds the pair-length arrays of an assembly
 _PAIR_CHUNK = 1 << 12
 _MIN_LAMBDA_OVER_ELL = 4.0  # ell << lambda_min
+# ARPACK's relative stop; minimal_eigenvalue says why it leaves lambda at
+# rounding (1e-6 moves lambda by up to ~1e-13 omega^2)
+_LANCZOS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -275,43 +279,64 @@ def assemble_dynamical_matrix(config: Configuration, basis: ModeBasis,
     return a, b, basis.Omega**2
 
 
-def minimal_eigenvalue(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> float:
+class LanczosSolve(NamedTuple):
+    """The minimal eigenvalue of one dynamical matrix and what finding it took."""
+
+    value: float     # lambda_min of the full matrix, (rad/s)^2
+    matvecs: int     # Schur-complement products of the Lanczos iteration
+    residual: float  # ||S v - theta v|| of its Ritz pair, (rad/s)^2
+
+
+def minimal_eigenvalue(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> LanczosSolve:
     """Smallest eigenvalue of the dynamical matrix [[a, b], [b^T, diag(d)]].
 
     Overwrites ``a`` (C-ordered, as assembled) with the Schur complement.
     The mode block d = Omega^2 is some 1e11 times the atom scale omega^2, so
     a dense solve of the whole matrix resolves the small eigenvalues only to
     eps * Omega^2.  Eliminating the modes exactly leaves the atom-scale Schur
-    complement S = a - b d^-1 b^T, whose lowest eigenpair (lambda_S, v)
-    Lanczos finds to eps * ||S||.  One dgemm forms S in place, so no second
-    3N x 3N array is allocated; it is the transposed-first call numpy makes
-    for (b / d) @ b.T, and at one BLAS thread gives the same bytes (at more
-    threads the last bits differ).  The eigenvalues of the full matrix below
-    min(d) solve lambda = lambda_min(a - b (d - lambda)^-1 b^T); one
-    first-order step of that secular equation from lambda_S, with x = b^T v,
-    gives lambda to rounding, because the step is of relative size
-    omega^2 / Omega^2.  Raises EigensolverConvergenceError when Lanczos does
-    not converge.
+    complement S = a - b d^-1 b^T, whose lowest Ritz pair (theta, v) Lanczos
+    refines until its residual estimate is below _LANCZOS_TOL * |theta|.
+    theta is the Rayleigh quotient of v, so its error is at most
+    ||S v - theta v||^2 / gap, far below the rounding already in S.  One
+    dgemm forms S in place, so no second 3N x 3N array is allocated; it is
+    the transposed-first call numpy makes for (b / d) @ b.T, and at one BLAS
+    thread gives the same bytes (at more threads the last bits differ).  The
+    eigenvalues of the full matrix below min(d) solve
+    lambda = lambda_min(a - b (d - lambda)^-1 b^T); one first-order step of
+    that secular equation from theta, with x = b^T v, gives lambda to
+    rounding, because the step is of relative size omega^2 / Omega^2.
+    Returns lambda with the solve's matvec count and its true residual
+    ||S v - theta v||, which one more matvec measures.  Raises
+    EigensolverConvergenceError when Lanczos does not converge.
     """
     n3 = a.shape[0]
     # a C-ordered a is, as a.T, the Fortran-ordered array BLAS updates in
     # place; BLAS copies an a of any other layout and leaves it as it was
     s = blas.dgemm(-1.0, b.T, (b / d).T, beta=1.0, c=a.T, trans_a=1,
                    overwrite_c=1).T
+    matvecs = 0
+
     # Lanczos time is all matvecs: a symmetric one reads half of the matrix
-    op = LinearOperator(s.shape, dtype=s.dtype,
-                        matvec=lambda x: blas.dsymv(1.0, s.T, x))
+    def matvec(x):
+        nonlocal matvecs
+        matvecs += 1
+        return blas.dsymv(1.0, s.T, x)
+
+    op = LinearOperator(s.shape, dtype=s.dtype, matvec=matvec)
     # a fixed start vector keeps the solve, and so the CSV, deterministic
     v0 = np.random.default_rng(0).standard_normal(n3)
     try:
-        vals, vecs = eigsh(op, k=1, which="SA", tol=0, v0=v0)
+        vals, vecs = eigsh(op, k=1, which="SA", tol=_LANCZOS_TOL, v0=v0)
     except ArpackNoConvergence as exc:
         raise EigensolverConvergenceError(
             f"Lanczos found no minimal eigenvalue of the {n3}-dimensional "
             f"Schur complement: {exc}") from exc
-    lam = float(vals[0])
-    x = b.T @ vecs[:, 0]
-    return lam - float(np.sum(x * x * lam / (d * (d - lam))))
+    theta = float(vals[0])
+    v = vecs[:, 0]
+    residual = float(np.linalg.norm(blas.dsymv(1.0, s.T, v, beta=-theta, y=v)))
+    x = b.T @ v
+    return LanczosSolve(theta - float(np.sum(x * x * theta / (d * (d - theta)))),
+                        matvecs, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +357,10 @@ class StabilityReport:
     threshold_low: float | None = None   # 1/m^3
     threshold_high: float | None = None
     probes: list = field(default_factory=list)
+    # over every grid and probe solve: Lanczos matvecs, and the largest
+    # residual ||S v - theta v|| in (rad/s)^2
+    lanczos_matvecs: int = 0
+    lanczos_residual_max: float = 0.0
     # perf_counter seconds spent per phase over every replica of the scan
     phase_s: dict = field(default_factory=lambda: dict.fromkeys(
         ("sample", "assemble", "eig"), 0.0))
@@ -368,8 +397,11 @@ def _replica_eigs(density: float, box_length: float, basis: ModeBasis,
         a, b, d = assemble_dynamical_matrix(cfg, basis, species, profile,
                                             include_contact=include_contact)
         t2 = time.perf_counter()
-        eigs[j] = minimal_eigenvalue(a, b, d)
+        solve = minimal_eigenvalue(a, b, d)
         t3 = time.perf_counter()
+        eigs[j] = solve.value
+        report.lanczos_matvecs += solve.matvecs
+        report.lanczos_residual_max = max(report.lanczos_residual_max, solve.residual)
         # else the next replica's atom block is assembled while this one lives
         del a, b, d
         phase["sample"] += t1 - t0

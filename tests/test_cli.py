@@ -261,24 +261,45 @@ def test_microsim_csv_is_deterministic_and_seed_sensitive(tmp_path):
         assert note == "excluded from determinism"
 
 
-def test_microsim_manifest_records_the_bisection_probes(tmp_path):
+def test_microsim_manifest_records_the_bisection_probes(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, _base_config(
         **{"microsim.box_over_ell": "8.0",
            "microsim.lambda_min_over_ell": "6.0",
            "microsim.density_ratios": "0.25,0.5,1.0",
            "microsim.replicas": "2",
            "microsim.bisect_steps": "4"}))
-    probes, sizes = [], []
+    # every solve's eigenvalue, which bounds ARPACK's relative stop
+    values = []
+    solve = microsim.minimal_eigenvalue
+
+    def recording(*blocks):
+        result = solve(*blocks)
+        values.append(result.value)
+        return result
+
+    monkeypatch.setattr(microsim, "minimal_eigenvalue", recording)
+    probes, sizes, lanczos = [], [], []
     for name in ("a", "b"):
         assert main(["microsim", "--config", cfg, "--out", str(tmp_path / name)]) == 0
         lines = (tmp_path / name / "manifest.txt").read_text().splitlines()
         probes.append([line for line in lines if line.startswith("probe.")])
         sizes.append([line for line in lines if line.startswith("matrix_")])
+        lanczos.append(dict(line.split(" = ") for line in lines
+                            if line.startswith("lanczos_")))
     assert probes[0] == probes[1]
     # the densest grid point holds 84 atoms, and the box keeps the 12 modes
     # of the |m| = 1 shell: a is 252 x 252 and b is 252 x 12
     assert sizes[0] == sizes[1] == ["matrix_dim_max = 264",
                                     f"matrix_bytes_max = {8 * 252 * 264}"]
+    # 3 grid points and 4 probes of 2 replicas each, run twice
+    assert len(values) == 2 * 2 * (3 + 4)
+    assert lanczos[0] == lanczos[1]
+    assert list(lanczos[0]) == ["lanczos_matvecs", "lanczos_residual_max_over_omega2"]
+    assert int(lanczos[0]["lanczos_matvecs"]) > 0
+    # theta and lambda differ by a relative omega^2 / Omega^2
+    omega2 = synthetic_species().omega ** 2
+    residual = float(lanczos[0]["lanczos_residual_max_over_omega2"])
+    assert 0.0 < residual <= microsim._LANCZOS_TOL * max(map(abs, values)) / omega2
     assert [line.split(" = ")[0] for line in probes[0]] == [
         f"probe.{k}" for k in (1, 2, 3, 4)]
     # each probe halves the bracket it was taken in, on the side of its sign

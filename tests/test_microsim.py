@@ -17,8 +17,8 @@ from depolgas.errors import (ConfigError, InfeasiblePackingError,
 from depolgas.kernels import GAUSSIAN, LORENTZIAN, CutoffProfile, contact_scalars
 from depolgas.meanfield import DispersionInput, branch_frequencies
 from depolgas import microsim
-from depolgas.microsim import (_MAX_MATRIX_DIM, Configuration, ModeBasis,
-                               assemble_dynamical_matrix,
+from depolgas.microsim import (_LANCZOS_TOL, _MAX_MATRIX_DIM, Configuration,
+                               ModeBasis, assemble_dynamical_matrix,
                                build_mode_basis, check_scan_separation,
                                minimal_eigenvalue, minimum_image,
                                sample_configuration, stability_scan)
@@ -157,7 +157,7 @@ def _reference_minimal_eigenvalue(matrix: np.ndarray, n_modes: int) -> float:
     op = LinearOperator(schur.shape, dtype=schur.dtype,
                         matvec=lambda x: linalg.blas.dsymv(1.0, schur.T, x))
     v0 = np.random.default_rng(0).standard_normal(schur.shape[0])
-    vals, vecs = eigsh(op, k=1, which="SA", tol=0, v0=v0)
+    vals, vecs = eigsh(op, k=1, which="SA", tol=_LANCZOS_TOL, v0=v0)
     lam = float(vals[0])
     x = b.T @ vecs[:, 0]
     return lam - float(np.sum(x * x * lam / (d * (d - lam))))
@@ -168,7 +168,8 @@ def _assert_matches_the_dense_matrix(blocks, matrix: np.ndarray, n_modes: int):
     for got, expected in zip(blocks, _blocks(matrix, n_modes), strict=True):
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
-    assert minimal_eigenvalue(*blocks) == _reference_minimal_eigenvalue(matrix, n_modes)
+    assert (minimal_eigenvalue(*blocks).value
+            == _reference_minimal_eigenvalue(matrix, n_modes))
 
 
 def _mode_field(basis: ModeBasis, positions: np.ndarray) -> np.ndarray:
@@ -581,7 +582,7 @@ def test_dynamical_matrix_decouples_at_vanishing_dipole():
     _, b_half, _ = assemble_dynamical_matrix(cfg, basis, halved, _PROFILE,
                                              include_contact=True)
     assert np.array_equal(b_half, 0.5 * b)
-    assert minimal_eigenvalue(a, b, d) == pytest.approx(feeble.omega**2, rel=1e-12)
+    assert minimal_eigenvalue(a, b, d).value == pytest.approx(feeble.omega**2, rel=1e-12)
 
 
 def _secular_fixed_point(a: np.ndarray, b: np.ndarray, d: np.ndarray,
@@ -609,7 +610,44 @@ def test_minimal_eigenvalue_matches_the_secular_fixed_point(rho):
     a, b, d = assemble_dynamical_matrix(cfg, basis, species, _PROFILE,
                                         include_contact=True)
     reference = _secular_fixed_point(a, b, d)  # before a is overwritten
-    assert minimal_eigenvalue(a, b, d) == pytest.approx(reference, rel=1e-12)
+    assert minimal_eigenvalue(a, b, d).value == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("box_over_ell", [8.0, 10.0])
+@pytest.mark.parametrize("rho", [0.6, 0.8, 1.0])
+def test_minimal_eigenvalue_near_the_onset_is_exact_to_rounding(box_over_ell, rho):
+    # near the onset |lambda| << omega^2, so a relative check says little:
+    # the Lanczos stop must leave lambda within a few ulps of omega^2 of the
+    # dense fixed point (a stop at tol = 1e-6 moves it by up to ~1e-13 omega^2)
+    species = synthetic_species()
+    box = box_over_ell * ELL
+    basis = build_mode_basis(box, 0.75 * box)
+    for replica in range(2):
+        cfg = sample_configuration(rho * ND_PER_ELL3 / ELL**3, box,
+                                   species.core_diameter, seed=(43, replica))
+        a, b, d = assemble_dynamical_matrix(cfg, basis, species, _PROFILE,
+                                            include_contact=True)
+        reference = _secular_fixed_point(a, b, d)
+        got = minimal_eigenvalue(a, b, d).value
+        assert abs(got - reference) <= 2e-15 * species.omega**2
+
+
+def test_a_solve_counts_its_matvecs_and_measures_its_residual(monkeypatch):
+    # every Schur-complement product but the residual's is a Lanczos matvec,
+    # and the Ritz pair meets ARPACK's relative stop
+    species = synthetic_species()
+    box = 8.0 * ELL
+    cfg = sample_configuration(0.8 * ND_PER_ELL3 / ELL**3, box,
+                               species.core_diameter, seed=(43, 0))
+    a, b, d = assemble_dynamical_matrix(cfg, build_mode_basis(box, 6.0 * ELL),
+                                        species, _PROFILE, include_contact=True)
+    calls = []
+    dsymv = microsim.blas.dsymv
+    monkeypatch.setattr(microsim.blas, "dsymv",
+                        lambda *args, **kw: calls.append(1) or dsymv(*args, **kw))
+    solve = minimal_eigenvalue(a, b, d)
+    assert solve.matvecs == len(calls) - 1 > 0
+    assert 0.0 < solve.residual <= _LANCZOS_TOL * abs(solve.value)
 
 
 @pytest.mark.parametrize("box_over_ell, rho", _GEOMETRIES[:3])
@@ -640,7 +678,7 @@ def test_minimal_eigenvalue_of_a_strided_atom_block_leaves_it_as_it_was():
     basis = build_mode_basis(box, 6.0 * ELL)
     matrix = _reference_matrix(cfg, basis, species, _PROFILE)
     before = matrix.copy()
-    got = minimal_eigenvalue(*_blocks(matrix, basis.n_modes))
+    got = minimal_eigenvalue(*_blocks(matrix, basis.n_modes)).value
     assert got == _reference_minimal_eigenvalue(before, basis.n_modes)
     assert matrix.tobytes() == before.tobytes()
 
@@ -711,7 +749,7 @@ def test_single_atom_matches_two_level_mean_field():
     cfg = Configuration(box_length=box, positions=x0[None, :])
 
     measured = minimal_eigenvalue(*assemble_dynamical_matrix(
-        cfg, single, species, _PROFILE, include_contact=True))
+        cfg, single, species, _PROFILE, include_contact=True)).value
 
     c0 = math.cos(float(x0 @ kvec))
     rho_eff = (2.0 * c0 * c0 / box**3) / dicke_density(species)
@@ -739,7 +777,7 @@ def test_dilute_lattice_matches_mean_field_density():
 
     cfg = Configuration(box_length=box, positions=positions)
     measured = minimal_eigenvalue(*assemble_dynamical_matrix(
-        cfg, basis, species, profile, include_contact=True))
+        cfg, basis, species, profile, include_contact=True)).value
 
     pair = branch_frequencies(DispersionInput(
         omega=species.omega, Omega=float(basis.Omega[0]), density_ratio=0.5))
@@ -768,7 +806,7 @@ def _measured_shell_threshold(m_norm2: int, grid: np.ndarray, seed: int) -> floa
             cfg = sample_configuration(rho * n_dicke, box, species.core_diameter,
                                        seed=(seed, i, j))
             eigs.append(minimal_eigenvalue(*assemble_dynamical_matrix(
-                cfg, basis, species, _PROFILE, include_contact=True)))
+                cfg, basis, species, _PROFILE, include_contact=True)).value)
         means.append(np.mean(eigs))
     means = np.asarray(means)
     sign_change = np.flatnonzero((means[:-1] > 0.0) & (means[1:] <= 0.0))
