@@ -7,10 +7,12 @@ CSV bodies are deterministic for a fixed config and seed on one machine,
 numpy/scipy build and BLAS thread count; the manifest additionally records
 the BLAS thread variables and wall time, which is excluded from the
 determinism contract; ``microsim`` adds its bisection probes, the size of
-its largest matrix, its Lanczos matvec count and largest residual, and its
-per-phase timings there, and the commands that integrate (all but
-``microsim``) add the worst gated quadrature error and the time spent in
-quadrature.
+its largest matrix, its Lanczos matvec count and largest residual, its
+worker count, the largest peak RSS of its workers, and its per-phase
+timings there, and the commands that integrate (all but ``microsim``) add
+the worst gated quadrature error and the time spent in quadrature.  The
+``microsim`` phase timings are summed over its worker processes, so with
+more than one worker they can exceed the wall time.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence,
 4 infeasible sampling.
@@ -39,16 +41,12 @@ from .kernels import QuadratureLog, gamma_peak, gamma_r, kernel_k, kernel_u
 from .meanfield import (DispersionInput, branch_frequencies,
                         critical_ratio_bisection, critical_ratio_from_overlap,
                         overlap_integral, shift_slope)
-from .microsim import stability_scan
+from .microsim import BLAS_THREAD_VARS, stability_scan
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_NUMERICAL = 3
 _EXIT_SAMPLING = 4
-
-# the thread counts BLAS reads at start-up; the eigenvalue columns depend on
-# them in the last digits, so the manifest records them
-_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fmt(value, precision: int) -> str:
@@ -112,8 +110,9 @@ def _write_outputs(out_dir: Path, command: str, output: _Output, cfg: RunConfig,
     body = "\n".join(body_lines) + "\n"
 
     config_text = "\n".join(resolved_lines(cfg)) + "\n"
+    # the eigenvalue columns depend on the BLAS threads in the last digits
     blas_threads = ",".join(f"{var}={os.environ.get(var, 'unset')}"
-                            for var in _BLAS_VARS)
+                            for var in BLAS_THREAD_VARS)
     try:
         with open(out_dir / f"{command}.csv", "x", encoding="utf-8", newline="\n") as fh:
             fh.write(body)
@@ -269,8 +268,12 @@ def _cmd_microsim(cfg: RunConfig, args, errors: _RowErrors):
     lanczos = (f"lanczos_matvecs = {report.lanczos_matvecs}",
                "lanczos_residual_max_over_omega2 = "
                f"{_fmt(report.lanczos_residual_max / species.omega**2, p)}")
-    timings = tuple(f"phase_s.{phase} = {seconds:.3f}  # excluded from determinism"
-                    for phase, seconds in report.phase_s.items())
+    # the phases are summed over the workers, so they can exceed the wall time
+    timings = (f"workers = {report.workers}  # excluded from determinism",
+               f"worker_peak_rss_mb = {report.worker_peak_rss_mb:.1f}"
+               "  # excluded from determinism",
+               *(f"phase_s.{phase} = {seconds:.3f}  # excluded from determinism"
+                 for phase, seconds in report.phase_s.items()))
     return _Output(header, rows, footer, probes + sizes + lanczos + timings)
 
 
@@ -295,7 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory (create-only files)")
         p.add_argument("--workers", type=int, default=1,
                        help="accepted and ignored, so existing command lines keep "
-                            "working; every command runs its rows serially")
+                            "working; microsim solves its replicas in as many "
+                            "processes as the cores over the BLAS threads set in "
+                            "OMP/OPENBLAS/MKL_NUM_THREADS, the other commands "
+                            "run their rows serially")
         p.add_argument("--seed", type=int, default=None,
                        help="override microsim.seed from the config")
     return parser

@@ -18,10 +18,15 @@ threshold by the sign change of the replica average.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import resource
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +52,12 @@ _MIN_LAMBDA_OVER_ELL = 4.0  # ell << lambda_min
 # ARPACK's relative stop; minimal_eigenvalue says why it leaves lambda at
 # rounding (1e-6 moves lambda by up to ~1e-13 omega^2)
 _LANCZOS_TOL = 1e-8
+
+# the thread counts BLAS reads at start-up: a scan divides the cores by them,
+# and the CLI manifest records them
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# ru_maxrss is in kB, except on macOS, where it is in bytes
+_RSS_UNITS_PER_MB = 2**20 if sys.platform == "darwin" else 2**10
 
 
 @dataclass(frozen=True)
@@ -361,9 +372,12 @@ class StabilityReport:
     # residual ||S v - theta v|| in (rad/s)^2
     lanczos_matvecs: int = 0
     lanczos_residual_max: float = 0.0
-    # perf_counter seconds spent per phase over every replica of the scan
+    # perf_counter seconds spent per phase over every replica of the scan,
+    # summed over the worker processes
     phase_s: dict = field(default_factory=lambda: dict.fromkeys(
         ("sample", "assemble", "eig"), 0.0))
+    workers: int = 1               # processes the replicas were solved in
+    worker_peak_rss_mb: float = 0.0  # largest peak RSS of those processes
 
 
 def check_scan_separation(species: AtomSpecies, ell: float, lambda_min: float,
@@ -384,30 +398,86 @@ def check_scan_separation(species: AtomSpecies, ell: float, lambda_min: float,
         )
 
 
-def _replica_eigs(density: float, box_length: float, basis: ModeBasis,
-                  species: AtomSpecies, profile: CutoffProfile, report: StabilityReport,
-                  seed_block: tuple, include_contact: bool) -> np.ndarray:
-    eigs = np.empty(report.replicas)
-    phase = report.phase_s
-    for j in range(report.replicas):
-        t0 = time.perf_counter()
-        cfg = sample_configuration(density, box_length, species.core_diameter,
-                                   seed=seed_block + (j,))
-        t1 = time.perf_counter()
-        a, b, d = assemble_dynamical_matrix(cfg, basis, species, profile,
-                                            include_contact=include_contact)
-        t2 = time.perf_counter()
-        solve = minimal_eigenvalue(a, b, d)
-        t3 = time.perf_counter()
-        eigs[j] = solve.value
+class _ReplicaSolve(NamedTuple):
+    """What one (density, replica) task of a scan returns."""
+
+    solve: LanczosSolve
+    seconds: tuple[float, float, float]  # sampling, assembly, eigen-solve
+    peak_rss_mb: float                   # of the process that ran the task
+
+
+def _solve_replica(density: float, seed: tuple, *, box_length: float,
+                   basis: ModeBasis, species: AtomSpecies, profile: CutoffProfile,
+                   include_contact: bool) -> _ReplicaSolve:
+    """Sample, assemble and solve one replica; its blocks die on return."""
+    t0 = time.perf_counter()
+    cfg = sample_configuration(density, box_length, species.core_diameter, seed=seed)
+    t1 = time.perf_counter()
+    a, b, d = assemble_dynamical_matrix(cfg, basis, species, profile,
+                                        include_contact=include_contact)
+    t2 = time.perf_counter()
+    solve = minimal_eigenvalue(a, b, d)
+    t3 = time.perf_counter()
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _RSS_UNITS_PER_MB
+    return _ReplicaSolve(solve, (t1 - t0, t2 - t1, t3 - t2), peak)
+
+
+def _worker_count() -> int:
+    """Processes a scan solves its replicas in: the cores over the BLAS threads.
+
+    The BLAS threads are the largest value set among BLAS_THREAD_VARS; with
+    none set, or one that is not a positive integer, BLAS may use every core
+    and the count is 1.  It is also 1 where workers cannot be forked or the
+    usable cores are not known.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    values = [os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ]
+    try:
+        threads = [int(value) for value in values]
+    except ValueError:
+        return 1
+    if not threads or min(threads) < 1:
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // max(threads))
+
+
+@contextmanager
+def _replica_map(workers: int):
+    """An ordered map over ``workers`` processes; plain ``map`` for one.
+
+    The workers are forked, so they start at once with numpy and scipy
+    loaded and see the caller's module state; a fresh interpreter per worker
+    would pay those imports on every scan.  Each worker runs BLAS at the
+    pinned thread count, so together they use no more threads than cores.
+    Leaving the block, on success or error, drops the tasks not yet started
+    and joins every worker.
+    """
+    if workers == 1:
+        yield map
+        return
+    # imported only here, so that importing the package does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _collect(report: StabilityReport, results) -> np.ndarray:
+    """Add a density's replica solves to the report; return their eigenvalues."""
+    eigs = []
+    for solve, seconds, peak in results:
+        eigs.append(solve.value)
         report.lanczos_matvecs += solve.matvecs
         report.lanczos_residual_max = max(report.lanczos_residual_max, solve.residual)
-        # else the next replica's atom block is assembled while this one lives
-        del a, b, d
-        phase["sample"] += t1 - t0
-        phase["assemble"] += t2 - t1
-        phase["eig"] += t3 - t2
-    return eigs
+        report.worker_peak_rss_mb = max(report.worker_peak_rss_mb, peak)
+        for phase, spent in zip(report.phase_s, seconds):
+            report.phase_s[phase] += spent
+    return np.array(eigs)
 
 
 def _progress(step: str, density_over_nd: float, n_atoms: int, started: float) -> None:
@@ -425,10 +495,14 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
 
     Each (density, replica) task owns an independent RNG stream derived from
     (master_seed, phase, task indices), so results are reproducible and
-    independent of evaluation order.  After the grid pass, the first sign
-    change of the replica-averaged minimal eigenvalue is refined by
-    ``bisect_steps`` density bisections with fresh replicas.  Each grid
-    density and each bisection probe reports one progress line on stderr.
+    independent of evaluation order.  The tasks run in as many processes as
+    the cores over the BLAS threads (in this one when that is 1) and are
+    reduced in task order, so the report does not depend on the process
+    count.  After the grid pass, the first sign change of the
+    replica-averaged minimal eigenvalue is refined by ``bisect_steps``
+    density bisections with fresh replicas.  Each grid density and each
+    bisection probe reports one progress line on stderr, once its replicas
+    are solved.
     """
     check_scan_separation(species, profile.ell, lambda_min, min_ell_over_core)
     if replicas < 1:
@@ -454,37 +528,44 @@ def stability_scan(densities, species: AtomSpecies, profile: CutoffProfile,
                              atoms_per_density=atoms, replicas=replicas,
                              n_modes=basis.n_modes)
     n_dicke = dicke_density(species)
+    solve = partial(_solve_replica, box_length=box_length, basis=basis,
+                    species=species, profile=profile, include_contact=include_contact)
+    report.workers = _worker_count()
     started = time.perf_counter()
-    for i, density in enumerate(densities):
-        eigs = _replica_eigs(density, box_length, basis, species, profile,
-                             report, (master_seed, 0, i), include_contact)
-        mean[i] = eigs.mean()
-        std[i] = eigs.std(ddof=1) if replicas > 1 else 0.0
-        frac[i] = np.mean(eigs < 0.0)
-        atoms[i] = int(round(density * box_length**3))
-        _progress(f"grid {i + 1}/{densities.size}", density / n_dicke, atoms[i],
-                  started)
+    with _replica_map(report.workers) as replica_map:
+        # every grid task at once, read back in task order
+        results = replica_map(solve, np.repeat(densities, replicas),
+                              [(master_seed, 0, i, j) for i in range(densities.size)
+                               for j in range(replicas)])
+        for i, density in enumerate(densities):
+            eigs = _collect(report, itertools.islice(results, replicas))
+            mean[i] = eigs.mean()
+            std[i] = eigs.std(ddof=1) if replicas > 1 else 0.0
+            frac[i] = np.mean(eigs < 0.0)
+            atoms[i] = int(round(density * box_length**3))
+            _progress(f"grid {i + 1}/{densities.size}", density / n_dicke, atoms[i],
+                      started)
 
-    crossing = None
-    for i in range(densities.size - 1):
-        if mean[i] > 0.0 >= mean[i + 1]:
-            crossing = i
-            break
-    if crossing is None:
-        return report
+        crossing = None
+        for i in range(densities.size - 1):
+            if mean[i] > 0.0 >= mean[i + 1]:
+                crossing = i
+                break
+        if crossing is None:
+            return report
 
-    lo, hi = densities[crossing], densities[crossing + 1]
-    for step in range(bisect_steps):
-        mid = 0.5 * (lo + hi)
-        eigs = _replica_eigs(mid, box_length, basis, species, profile,
-                             report, (master_seed, 1, step), include_contact)
-        report.probes.append((mid, float(eigs.mean())))
-        _progress(f"probe {step + 1}/{bisect_steps}", mid / n_dicke,
-                  int(round(mid * box_length**3)), started)
-        if eigs.mean() <= 0.0:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = densities[crossing], densities[crossing + 1]
+        for step in range(bisect_steps):
+            mid = 0.5 * (lo + hi)
+            eigs = _collect(report, replica_map(
+                solve, [mid] * replicas, [(master_seed, 1, step, j) for j in range(replicas)]))
+            report.probes.append((mid, float(eigs.mean())))
+            _progress(f"probe {step + 1}/{bisect_steps}", mid / n_dicke,
+                      int(round(mid * box_length**3)), started)
+            if eigs.mean() <= 0.0:
+                hi = mid
+            else:
+                lo = mid
     report.threshold_low = lo
     report.threshold_high = hi
     return report

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -250,7 +251,8 @@ def test_microsim_csv_is_deterministic_and_seed_sensitive(tmp_path):
     m0 = (outs[0] / "manifest.txt").read_text().splitlines()
     m1 = (outs[1] / "manifest.txt").read_text().splitlines()
     diff = [a for a, b in zip(m0, m1) if a != b]
-    assert all(line.startswith(("wall_time_s", "phase_s.")) for line in diff)
+    assert all(line.startswith(("wall_time_s", "worker_peak_rss_mb", "phase_s."))
+               for line in diff)
     phases = [line.split(" = ") for line in m0 if line.startswith("phase_s.")]
     assert [key for key, _ in phases] == ["phase_s.sample", "phase_s.assemble",
                                           "phase_s.eig"]
@@ -268,7 +270,9 @@ def test_microsim_manifest_records_the_bisection_probes(tmp_path, monkeypatch):
            "microsim.density_ratios": "0.25,0.5,1.0",
            "microsim.replicas": "2",
            "microsim.bisect_steps": "4"}))
-    # every solve's eigenvalue, which bounds ARPACK's relative stop
+    # every solve's eigenvalue, which bounds ARPACK's relative stop; the
+    # recording wrapper sees the solves of this process only
+    monkeypatch.setattr(microsim, "_worker_count", lambda: 1)
     values = []
     solve = microsim.minimal_eigenvalue
 
@@ -316,6 +320,32 @@ def test_microsim_manifest_records_the_bisection_probes(tmp_path, monkeypatch):
     assert "probe" not in (tmp_path / "a" / "microsim.csv").read_text()
 
 
+def test_microsim_output_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path, _base_config(
+        **{"microsim.box_over_ell": "8.0",
+           "microsim.lambda_min_over_ell": "6.0",
+           "microsim.density_ratios": "0.25,0.5,1.0",
+           "microsim.replicas": "2",
+           "microsim.bisect_steps": "4"}))
+    bodies, manifests = [], []
+    for workers in (1, 2):
+        monkeypatch.setattr(microsim, "_worker_count", lambda: workers)
+        out = tmp_path / f"workers{workers}"
+        assert main(["microsim", "--config", cfg, "--out", str(out)]) == 0
+        bodies.append((out / "microsim.csv").read_bytes())
+        manifests.append((out / "manifest.txt").read_text().splitlines())
+    assert bodies[0] == bodies[1]
+    kept = [[line for line in lines if not line.endswith("# excluded from determinism")]
+            for lines in manifests]
+    assert kept[0] == kept[1]
+    assert sum(line.startswith("probe.") for line in kept[0]) == 4
+    for workers, lines in zip((1, 2), manifests):
+        assert f"workers = {workers}  # excluded from determinism" in lines
+        (peak,) = [line for line in lines if line.startswith("worker_peak_rss_mb = ")]
+        assert float(peak.split(" = ")[1].split("  # ")[0]) > 0.0
+    assert multiprocessing.active_children() == []
+
+
 def test_microsim_eigenvalues_do_not_depend_on_the_blas_thread_count(tmp_path):
     # BLAS reads its thread count at start-up, so each run is its own process;
     # a dense solve of the whole matrix moved min_eig_mean here by 1.5e-4
@@ -353,6 +383,24 @@ def test_eigensolver_failure_exits_with_numerical_error(tmp_path, monkeypatch,
            "microsim.replicas": "1"}))
     assert main(["microsim", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "Lanczos found no minimal eigenvalue" in capsys.readouterr().err
+
+
+def test_eigensolver_failure_in_a_worker_exits_and_joins_the_workers(
+        tmp_path, monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    # the forked workers inherit the patched solver
+    monkeypatch.setattr(microsim, "eigsh", no_convergence)
+    monkeypatch.setattr(microsim, "_worker_count", lambda: 2)
+    cfg = _write_config(tmp_path, _base_config(
+        **{"microsim.box_over_ell": "8.0",
+           "microsim.lambda_min_over_ell": "8.0",
+           "microsim.density_ratios": "0.2,0.3",
+           "microsim.replicas": "2"}))
+    assert main(["microsim", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "Lanczos found no minimal eigenvalue" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_output_directory_is_create_only(tmp_path, capsys):

@@ -703,9 +703,11 @@ def test_a_solve_holds_one_atom_block_beyond_its_inputs():
     assert peak <= a.nbytes + b.nbytes + 16 * 2**20
 
 
-def test_a_scan_frees_each_replica_before_the_next_assembly():
+def test_a_scan_frees_each_replica_before_the_next_assembly(monkeypatch):
     # the ladder's largest rung at its densest point, N = 499, two replicas:
-    # holding a replica's blocks through the next assembly doubles the peak
+    # holding a replica's blocks through the next assembly doubles the peak;
+    # tracemalloc sees this process only, so the replicas are solved here
+    monkeypatch.setattr(microsim, "_worker_count", lambda: 1)
     species = synthetic_species()
     box = 12.0 * ELL
     density = 1.75 * dicke_density(species)
@@ -885,6 +887,43 @@ def test_stability_scan_brackets_a_threshold(capsys):
         + [f"microsim probe {i}/6" for i in range(1, 7)])
     assert set(report.phase_s) == {"sample", "assemble", "eig"}
     assert all(seconds > 0.0 for seconds in report.phase_s.values())
+
+
+def test_a_pooled_scan_reports_each_density_in_order(monkeypatch, capsys):
+    # the CLI tests compare its bytes with those of the in-process scan
+    monkeypatch.setattr(microsim, "_worker_count", lambda: 2)
+    report, _ = _smoke_scan()
+    assert report.workers == 2
+    assert report.worker_peak_rss_mb > 0.0
+    assert len(report.probes) == 6
+    # one line per grid density and per probe, in order, as each is solved
+    progress = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in progress] == (
+        [f"microsim grid {i}/3" for i in (1, 2, 3)]
+        + [f"microsim probe {i}/6" for i in range(1, 7)])
+    elapsed = [float(line.split(", ")[-1].split()[0]) for line in progress]
+    assert elapsed == sorted(elapsed)
+
+
+@pytest.mark.parametrize("threads, cores, workers", [
+    ({}, 4, 1),
+    (dict.fromkeys(microsim.BLAS_THREAD_VARS, "1"), 4, 4),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4, 2),
+    ({"OMP_NUM_THREADS": "3"}, 4, 1),
+    ({"OMP_NUM_THREADS": "abc", "OPENBLAS_NUM_THREADS": "1"}, 4, 1),
+    ({"OMP_NUM_THREADS": "0", "OPENBLAS_NUM_THREADS": "1"}, 4, 1),
+    ({"OMP_NUM_THREADS": "8"}, 4, 1),
+    (dict.fromkeys(microsim.BLAS_THREAD_VARS, "1"), 1, 1),
+])
+def test_worker_count_divides_the_cores_by_the_blas_threads(monkeypatch, threads,
+                                                             cores, workers):
+    for var in microsim.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in threads.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(microsim.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+    assert microsim._worker_count() == workers
 
 
 def test_stability_scan_is_deterministic_in_the_master_seed():
